@@ -76,9 +76,7 @@ Cell TimeRepair(const dyck::ParenSeq& seq, const dyck::Options& options,
     cell.distance = result->distance;
     cell.certified_factor = result->telemetry.certified_factor;
     cell.exact_lower_bound = result->telemetry.exact_lower_bound;
-    cell.choice = result->telemetry.planner_choice.empty()
-                      ? result->telemetry.solver_name
-                      : result->telemetry.planner_choice;
+    cell.choice = result->telemetry.solver_name;
     if (i == 0 || elapsed.count() < cell.seconds) {
       cell.seconds = elapsed.count();
     }
@@ -179,7 +177,7 @@ int main(int argc, char** argv) {
         base.metric = subs ? dyck::Metric::kDeletionsAndSubstitutions
                            : dyck::Metric::kDeletionsOnly;
         dyck::Options fpt = base;
-        fpt.algorithm = dyck::Algorithm::kFpt;
+        fpt.solver = "fpt";
         dyck::Options ladder2 = base;
         ladder2.max_approximation_factor = 2.0;
         dyck::Options ladder3 = base;

@@ -110,9 +110,9 @@ int main(int argc, char** argv) {
         base.metric = subs ? dyck::Metric::kDeletionsAndSubstitutions
                            : dyck::Metric::kDeletionsOnly;
         dyck::Options fpt = base;
-        fpt.algorithm = dyck::Algorithm::kFpt;
+        fpt.solver = "fpt";
         dyck::Options cubic = base;
-        cubic.algorithm = dyck::Algorithm::kCubic;
+        cubic.solver = "cubic";
 
         const int reps = smoke ? 1 : 25;
         Row row;
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
                          result.status().ToString().c_str());
             return 2;
           }
-          row.auto_choice = result->telemetry.planner_choice;
+          row.auto_choice = result->telemetry.solver_name;
         }
         int64_t auto_distance = 0, fpt_distance = 0, cubic_distance = 0;
         row.auto_seconds = TimeRepair(seq, base, reps, &auto_distance);

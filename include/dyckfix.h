@@ -63,8 +63,12 @@ typedef enum {
 } dyckfix_degrade;
 
 /* The algorithm family that produced a repair (see
- * dyckfix_telemetry.algorithm). AUTO means the input was already balanced
- * and no solver ran. */
+ * dyckfix_telemetry.algorithm), derived from the registry name of the
+ * solver that ran: FPT for "fpt", "fpt-deletion" and "fpt-substitution",
+ * APPROX for "approx" and "approx-greedy", and the like-named value for
+ * "cubic", "branching", "banded" and "greedy". AUTO means the input was
+ * already balanced and no solver ran. Selection takes the registry name
+ * (dyckfix_options.algorithm); this enum is reporting only. */
 typedef enum {
   DYCKFIX_ALGORITHM_AUTO = 0,
   DYCKFIX_ALGORITHM_FPT = 1,
@@ -144,10 +148,10 @@ typedef struct {
   long long max_work_steps;/* cooperative work-step cap; 0 = unlimited     */
   int degrade;             /* dyckfix_degrade policy on a tripped budget   */
   const char* algorithm;   /* NULL, "", or "auto" = cost-model planner;
-                            * a family name ("fpt", "cubic", "branching",
-                            * "banded", "greedy", "approx") or any solver
-                            * registry name ("fpt-deletion", ...) forces
-                            * that solver. An unknown name fails with
+                            * any solver registry name ("fpt-deletion",
+                            * "cubic", "banded", ... — `dyckfix
+                            * --list-algorithms` prints them) forces that
+                            * solver. An unknown name fails with
                             * DYCKFIX_ERROR_INVALID_ARGUMENT and a
                             * dyckfix_last_error() naming it.             */
   double max_approx_factor;/* accuracy the planner may trade away: 0 (the
@@ -155,8 +159,8 @@ typedef struct {
                             * answers only; f > 1.0 admits approximate
                             * solvers certifying reported <= f * optimal
                             * (telemetry.certified_factor carries the
-                            * realized ratio). Values in (0, 1.0) are
-                            * invalid.                                    */
+                            * realized ratio). Values in (0, 1.0), and
+                            * NaN, are invalid.                           */
   long long cache_bytes;   /* byte budget of the process-wide content-hash
                             * repair cache; 0 (the zero-initialized
                             * default) = no caching. When > 0, repeated

@@ -1,4 +1,5 @@
-// Certified approximate solvers (registry family Algorithm::kApprox).
+// Certified approximate solvers: the "approx" and "approx-greedy" registry
+// entries.
 //
 // The accuracy ladder between uncertified greedy and the exact FPT
 // solvers, in the spirit of Saha's conditional approximation [Sah14] and
@@ -22,8 +23,7 @@
 //
 // Two rungs are registered:
 //   "approx"        — the refinement solver above (factor 2.0, both
-//                     metrics). Forced selection via Algorithm::kApprox
-//                     lands here.
+//                     metrics).
 //   "approx-greedy" — the bounded-error greedy rung (factor 3.0, both
 //                     metrics, O(n)): certifies by counting alone and
 //                     declares itself inapplicable when U > 3 * L, so the
@@ -85,12 +85,9 @@ class ApproxRefineSolver final : public Solver {
  public:
   const char* name() const override { return "approx"; }
   const SolverCaps& caps() const override {
-    static const SolverCaps caps{/*deletions=*/true, /*substitutions=*/true,
-                                 /*exact=*/false, /*needs_reduced=*/true,
-                                 /*supports_doubling=*/true,
-                                 /*planner_candidate=*/true,
-                                 Algorithm::kApprox,
-                                 /*approximation_factor=*/kRefineFactor};
+    static const SolverCaps caps{.needs_reduced = true,
+                                 .planner_candidate = true,
+                                 .approximation_factor = kRefineFactor};
     return caps;
   }
   double PredictCost(int64_t n, int64_t d_hint) const override {
@@ -228,11 +225,8 @@ class CertifiedGreedySolver final : public Solver {
   const char* name() const override { return "approx-greedy"; }
   const SolverCaps& caps() const override {
     static const SolverCaps caps{
-        /*deletions=*/true, /*substitutions=*/true,
-        /*exact=*/false, /*needs_reduced=*/false,
-        /*supports_doubling=*/false,
-        /*planner_candidate=*/true, Algorithm::kApprox,
-        /*approximation_factor=*/kCertifiedGreedyFactor};
+        .planner_candidate = true,
+        .approximation_factor = kCertifiedGreedyFactor};
     return caps;
   }
   double PredictCost(int64_t n, int64_t d_hint) const override {

@@ -31,11 +31,7 @@ class CubicSolver final : public Solver {
  public:
   const char* name() const override { return "cubic"; }
   const SolverCaps& caps() const override {
-    static const SolverCaps caps{/*deletions=*/true, /*substitutions=*/true,
-                                 /*exact=*/true, /*needs_reduced=*/false,
-                                 /*supports_doubling=*/false,
-                                 /*planner_candidate=*/true,
-                                 Algorithm::kCubic};
+    static const SolverCaps caps{.planner_candidate = true};
     return caps;
   }
   double PredictCost(int64_t n, int64_t d_hint) const override {
@@ -69,11 +65,7 @@ class BranchingSolver final : public Solver {
  public:
   const char* name() const override { return "branching"; }
   const SolverCaps& caps() const override {
-    static const SolverCaps caps{/*deletions=*/true, /*substitutions=*/true,
-                                 /*exact=*/true, /*needs_reduced=*/false,
-                                 /*supports_doubling=*/true,
-                                 /*planner_candidate=*/false,
-                                 Algorithm::kBranching};
+    static const SolverCaps caps;
     return caps;
   }
   double PredictCost(int64_t n, int64_t d_hint) const override {
@@ -111,13 +103,8 @@ class GreedySolver final : public Solver {
  public:
   const char* name() const override { return "greedy"; }
   const SolverCaps& caps() const override {
-    static const SolverCaps caps{/*deletions=*/true, /*substitutions=*/true,
-                                 /*exact=*/false, /*needs_reduced=*/false,
-                                 /*supports_doubling=*/false,
-                                 /*planner_candidate=*/false,
-                                 Algorithm::kGreedy,
-                                 /*approximation_factor=*/
-                                 std::numeric_limits<double>::infinity()};
+    static const SolverCaps caps{
+        .approximation_factor = std::numeric_limits<double>::infinity()};
     return caps;
   }
   double PredictCost(int64_t n, int64_t d_hint) const override {

@@ -44,10 +44,9 @@ uint64_t HashString(uint64_t h, const std::string& s) {
 OptionsKey OptionsKey::From(const Options& options) {
   OptionsKey key;
   key.metric = options.metric;
-  key.algorithm = options.algorithm;
+  if (options.solver != "auto") key.solver = options.solver;
   key.style = options.style;
   key.max_distance = options.max_distance;
-  key.solver = options.solver;
   key.max_approximation_factor =
       options.max_approximation_factor < 1.0
           ? 1.0
@@ -70,12 +69,12 @@ uint64_t HashContent(ParenSpan seq) {
 uint64_t HashSequence(ParenSpan seq, const OptionsKey& key) {
   uint64_t h = HashContent(seq);
   h = Combine(h, static_cast<uint64_t>(key.metric));
-  h = Combine(h, static_cast<uint64_t>(key.algorithm));
   h = Combine(h, static_cast<uint64_t>(key.style));
   h = Combine(h, static_cast<uint64_t>(key.max_distance));
   h = HashString(h, key.solver);
   // The factor is clamped to >= 1.0 by OptionsKey::From, so its bit
-  // pattern is a stable function of the value (no -0.0 / NaN traffic).
+  // pattern is a stable function of the value (no -0.0), and a NaN factor
+  // fails ResolveSolver before any repair path stores a result.
   uint64_t factor_bits = 0;
   static_assert(sizeof(factor_bits) == sizeof(key.max_approximation_factor));
   __builtin_memcpy(&factor_bits, &key.max_approximation_factor,
@@ -131,7 +130,6 @@ bool RepairCache::Lookup(uint64_t hash, ParenSpan seq, const OptionsKey& key,
         out->repaired = entry.repaired;
         out->degraded = false;
         out->telemetry.solver_name = entry.solver_name;
-        out->telemetry.chosen_algorithm = entry.chosen_algorithm;
         out->telemetry.balanced_fast_path = entry.balanced_fast_path;
         out->telemetry.certified_factor = entry.certified_factor;
         out->telemetry.exact_lower_bound = entry.exact_lower_bound;
@@ -166,7 +164,6 @@ void RepairCache::Insert(uint64_t hash, ParenSpan seq, const OptionsKey& key,
   fresh.script = result.script;
   fresh.repaired = result.repaired;
   fresh.solver_name = result.telemetry.solver_name;
-  fresh.chosen_algorithm = result.telemetry.chosen_algorithm;
   fresh.balanced_fast_path = result.telemetry.balanced_fast_path;
   fresh.certified_factor = result.telemetry.certified_factor;
   fresh.exact_lower_bound = result.telemetry.exact_lower_bound;

@@ -12,7 +12,7 @@
 // symbol, mixed explicitly — Paren has padding bytes, so raw-byte hashing
 // would be UB-adjacent and nondeterministic) combined with an OptionsKey
 // holding exactly the Options fields the result depends on: metric,
-// algorithm, style, max_distance, solver, max_approximation_factor.
+// solver, style, max_distance, max_approximation_factor.
 // Budget fields (timeout_ms / max_work_steps / max_memory_bytes /
 // on_budget_exceeded) are deliberately excluded: only clean, non-degraded
 // results are ever stored, and a clean result is invariant under budget
@@ -63,10 +63,11 @@ namespace cache {
 /// budget knobs are excluded. Build one with OptionsKey::From.
 struct OptionsKey {
   Metric metric = Metric::kDeletionsAndSubstitutions;
-  Algorithm algorithm = Algorithm::kAuto;
+  /// Options::solver, with "auto" spelled "" (both mean the planner, so
+  /// they share entries).
+  std::string solver;
   RepairStyle style = RepairStyle::kMinimalEdits;
   int64_t max_distance = -1;
-  std::string solver;
   /// Clamped to >= 1.0, mirroring the planner (values below 1.0 mean
   /// "exact" and must share entries with 1.0).
   double max_approximation_factor = 1.0;
@@ -119,8 +120,8 @@ class RepairCache {
 
   /// Looks up (seq, key). On a hit, fills `out` with the cached result —
   /// distance, script, repaired sequence, and the solver-attribution
-  /// telemetry fields (solver_name, chosen_algorithm, balanced_fast_path,
-  /// certified_factor, exact_lower_bound) — byte-identical to the run
+  /// telemetry fields (solver_name, balanced_fast_path, certified_factor,
+  /// exact_lower_bound) — byte-identical to the run
   /// that produced the entry, sets out->telemetry.cache_hit, and returns
   /// true. `hash` must be HashSequence(seq, key). `count_miss` = false
   /// suppresses the miss counter for pre-flight probes whose miss path
@@ -167,7 +168,6 @@ class RepairCache {
     ParenSeq repaired;
     // Solver attribution restored into the hit's telemetry.
     std::string solver_name;
-    Algorithm chosen_algorithm = Algorithm::kAuto;
     bool balanced_fast_path = false;
     double certified_factor = 1.0;
     int64_t exact_lower_bound = -1;

@@ -128,7 +128,9 @@ int ConvertOptions(const dyckfix_options& opts, dyck::Options* out) {
                 "max_work_steps must be >= 0 (0 = unlimited), got " +
                     std::to_string(opts.max_work_steps));
   }
-  if (opts.max_approx_factor != 0 && opts.max_approx_factor < 1.0) {
+  /* Written as a negation so NaN, which fails every comparison, is
+   * refused too. */
+  if (!(opts.max_approx_factor == 0 || opts.max_approx_factor >= 1.0)) {
     return Fail(DYCKFIX_ERROR_INVALID_ARGUMENT,
                 "max_approx_factor must be 0 (exact) or >= 1.0, got " +
                     std::to_string(opts.max_approx_factor));
@@ -153,28 +155,10 @@ int ConvertOptions(const dyckfix_options& opts, dyck::Options* out) {
   out->max_approximation_factor =
       opts.max_approx_factor == 0 ? 1.0 : opts.max_approx_factor;
   out->cache_bytes = opts.cache_bytes;
-  /* Algorithm-family names map to the enum (byte-identical to the
-   * pre-registry forced paths); everything else is treated as a solver
-   * registry name and validated by the pipeline, whose "unknown solver"
-   * InvalidArgument surfaces verbatim through dyckfix_last_error. */
-  if (opts.algorithm != nullptr && opts.algorithm[0] != '\0') {
-    const std::string name = opts.algorithm;
-    if (name == "fpt") {
-      out->algorithm = dyck::Algorithm::kFpt;
-    } else if (name == "cubic") {
-      out->algorithm = dyck::Algorithm::kCubic;
-    } else if (name == "branching") {
-      out->algorithm = dyck::Algorithm::kBranching;
-    } else if (name == "banded") {
-      out->algorithm = dyck::Algorithm::kBanded;
-    } else if (name == "greedy") {
-      out->algorithm = dyck::Algorithm::kGreedy;
-    } else if (name == "approx") {
-      out->algorithm = dyck::Algorithm::kApprox;
-    } else if (name != "auto") {
-      out->solver = name;
-    }
-  }
+  /* Any solver registry name, or "auto"; an unknown name fails in the
+   * repair with an InvalidArgument that surfaces verbatim through
+   * dyckfix_last_error. */
+  if (opts.algorithm != nullptr) out->solver = opts.algorithm;
   return DYCKFIX_OK;
 }
 
@@ -201,6 +185,31 @@ int RepairToString(const char* text, const dyck::Options& options,
   return DYCKFIX_OK;
 }
 
+/* The dyckfix_algorithm value reported for a registry name. This table is
+ * the only place solvers are grouped into families: the C enum predates
+ * the registry and its values are ABI. Names it does not list (and "" on
+ * the balanced fast path) report DYCKFIX_ALGORITHM_AUTO. */
+dyckfix_algorithm AlgorithmOf(const std::string& solver_name) {
+  static constexpr struct {
+    const char* name;
+    dyckfix_algorithm algorithm;
+  } kFamilies[] = {
+      {"fpt", DYCKFIX_ALGORITHM_FPT},
+      {"fpt-deletion", DYCKFIX_ALGORITHM_FPT},
+      {"fpt-substitution", DYCKFIX_ALGORITHM_FPT},
+      {"cubic", DYCKFIX_ALGORITHM_CUBIC},
+      {"branching", DYCKFIX_ALGORITHM_BRANCHING},
+      {"banded", DYCKFIX_ALGORITHM_BANDED},
+      {"greedy", DYCKFIX_ALGORITHM_GREEDY},
+      {"approx", DYCKFIX_ALGORITHM_APPROX},
+      {"approx-greedy", DYCKFIX_ALGORITHM_APPROX},
+  };
+  for (const auto& family : kFamilies) {
+    if (solver_name == family.name) return family.algorithm;
+  }
+  return DYCKFIX_ALGORITHM_AUTO;
+}
+
 /* Converts a C++ telemetry record to the C struct. */
 void FillTelemetry(const dyck::RepairTelemetry& t, dyckfix_telemetry* out) {
   const auto stage = [&t](dyck::PipelineStage s) {
@@ -216,7 +225,7 @@ void FillTelemetry(const dyck::RepairTelemetry& t, dyckfix_telemetry* out) {
   out->input_length = t.input_length;
   out->reduced_length = t.reduced_length;
   out->seq_copies = t.seq_copies;
-  out->algorithm = static_cast<int>(t.chosen_algorithm);
+  out->algorithm = AlgorithmOf(t.solver_name);
   out->balanced_fast_path = t.balanced_fast_path ? 1 : 0;
   out->degraded = t.degraded ? 1 : 0;
   out->budget_steps = t.budget_steps;

@@ -31,21 +31,8 @@ StatusOr<int64_t> DistanceImpl(const ParenSeq& seq, const Options& options) {
   request.doubling_cap = static_cast<int64_t>(seq.size()) + 1;
   request.max_approximation_factor = options.max_approximation_factor;
 
-  const Solver* solver = nullptr;
-  if (!options.solver.empty()) {
-    solver = SolverRegistry::Global().Find(options.solver);
-    if (solver == nullptr) {
-      return Status::InvalidArgument("unknown solver '" + options.solver +
-                                     "'");
-    }
-  } else if (options.algorithm != Algorithm::kAuto) {
-    solver = SolverRegistry::Global().ForAlgorithm(options.algorithm);
-    if (solver == nullptr) {
-      return Status::Internal(
-          std::string("no solver registered for algorithm '") +
-          AlgorithmName(options.algorithm) + "'");
-    }
-  } else {
+  DYCK_ASSIGN_OR_RETURN(const Solver* solver, ResolveSolver(options));
+  if (solver == nullptr) {
     if (IsBalanced(seq)) return 0;
     // Single-type inputs have a closed form (src/baseline/dyck1.h).
     if (const auto v = Dyck1Distance(seq, subs); v.has_value()) {
@@ -61,7 +48,6 @@ StatusOr<int64_t> DistanceImpl(const ParenSeq& seq, const Options& options) {
         PlanSolver(request, RepairContext::CurrentThread()));
     solver = plan.solver;
   }
-  DYCK_RETURN_NOT_OK(solver->CheckMetric(subs));
   return solver->SolveDistance(request);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string_view>
 #include <utility>
 
 #include "src/baseline/greedy.h"
@@ -204,6 +205,7 @@ int64_t RepairDoc::UntypedLowerBound(bool allow_substitutions) {
 
 Status RepairDoc::RepairInto(const Options& options, RepairResult* out) {
   const auto refresh_start = std::chrono::steady_clock::now();
+  DYCK_ASSIGN_OR_RETURN(const Solver* forced, ResolveSolver(options));
 
   // Whole-document cache consult: the staged RunInto below skips its own
   // consult on the StageArtifacts path (the doc completes partial results
@@ -234,8 +236,7 @@ Status RepairDoc::RepairInto(const Options& options, RepairResult* out) {
   const bool rebuilt = EnsureSummaries(&reused, &recomputed);
 
   const bool subs = options.metric == Metric::kDeletionsAndSubstitutions;
-  const bool is_auto =
-      options.solver.empty() && options.algorithm == Algorithm::kAuto;
+  const bool is_auto = forced == nullptr;
   const bool exact_only = options.max_approximation_factor <= 1.0;
   // Omitted-pairs mode: hand the solvers a Reduced whose matched_pairs is
   // empty, so no solver copies/sorts the O(n) zero-cost alignment, and
@@ -246,9 +247,9 @@ Status RepairDoc::RepairInto(const Options& options, RepairResult* out) {
   // script or an FPT reduced-based one, indistinguishable from outside)
   // and the preserve-content style (its transform consumes the pairs
   // inside stage 5).
-  const bool forced_approx_family =
-      options.algorithm == Algorithm::kApprox || options.solver == "approx";
-  const bool omit_pairs = exact_only && !forced_approx_family &&
+  const bool forced_approx =
+      forced != nullptr && std::string_view(forced->name()) == "approx";
+  const bool omit_pairs = exact_only && !forced_approx &&
                           options.style == RepairStyle::kMinimalEdits;
 
   if (!merged_valid_ || merged_has_pairs_ == omit_pairs) {

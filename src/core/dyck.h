@@ -38,29 +38,6 @@ enum class Metric {
   kDeletionsAndSubstitutions,
 };
 
-/// Algorithm selection; kAuto consults the planner (src/pipeline/planner.h),
-/// which picks the cheapest applicable exact solver from the registry using
-/// calibrated cost models. The fixed underlying type matches the opaque
-/// declaration in src/pipeline/telemetry.h.
-enum class Algorithm : int {
-  kAuto,
-  /// The paper's contribution (Theorems 26 / 40) with the doubling driver.
-  kFpt,
-  /// O(n^3) interval DP oracle [AP72].
-  kCubic,
-  /// 2^{O(d)} n branching baseline.
-  kBranching,
-  /// Banded LMS alignment for single-peak reduced inputs (deletions only).
-  kBanded,
-  /// Linear-time approximate repair (upper-bounds the true distance).
-  kGreedy,
-  /// Certified-approximation family (src/approx): results carry a proven
-  /// multiplicative error bound (RepairTelemetry::certified_factor). The
-  /// canonical registry entry is "approx" (the refinement solver); forcing
-  /// this enumerator routes to it.
-  kApprox,
-};
-
 /// How Repair materializes an optimal solution.
 enum class RepairStyle {
   /// Ops exactly as the metric defines them: deletions (+ substitutions).
@@ -96,7 +73,12 @@ enum class DegradePolicy {
 
 struct Options {
   Metric metric = Metric::kDeletionsAndSubstitutions;
-  Algorithm algorithm = Algorithm::kAuto;
+  /// Registry name of the solver to run (SolverRegistry::Global(), see
+  /// src/core/solver.h), e.g. "fpt-deletion", "cubic" or "banded". "" and
+  /// "auto" both defer to the cost-model planner (src/pipeline/planner.h),
+  /// which picks the cheapest admissible solver. Unknown names, and solvers
+  /// that do not support `metric`, fail with InvalidArgument.
+  std::string solver = {};
   RepairStyle style = RepairStyle::kMinimalEdits;
   /// If >= 0, fail with BoundExceeded instead of computing distances larger
   /// than this (useful to cap work on hopelessly corrupt inputs).
@@ -114,21 +96,16 @@ struct Options {
   int64_t max_memory_bytes = -1;
   /// Applied when any of the three budget limits trips.
   DegradePolicy on_budget_exceeded = DegradePolicy::kFail;
-  /// Force a solver by registry name (SolverRegistry::Global()), e.g.
-  /// "fpt-deletion" or "banded". Empty = defer to `algorithm`. Unknown
-  /// names fail with InvalidArgument; takes precedence over `algorithm`
-  /// when non-empty. Kept before the accuracy knob so pre-existing
-  /// aggregate initializers keep their positions.
-  std::string solver = {};
-  /// Largest certified approximation factor kAuto may accept: the planner
+  /// Largest certified approximation factor the planner may accept: it
   /// considers a registry solver only when its
   /// SolverCaps::approximation_factor is <= this value, so the default 1.0
   /// keeps selection exact (byte-identical to an accuracy-unaware build).
   /// Values > 1.0 unlock the src/approx ladder: every accepted result
   /// still satisfies distance <= factor * exact, with the realized factor
   /// reported in RepairTelemetry::certified_factor. Values < 1.0 are
-  /// treated as 1.0. Forced selection (`algorithm` / `solver`) bypasses
-  /// this filter — forcing "greedy" or "approx" is an explicit request.
+  /// treated as 1.0; NaN fails with InvalidArgument. A forced `solver`
+  /// bypasses this filter — forcing "greedy" or "approx" is an explicit
+  /// request.
   double max_approximation_factor = 1.0;
   /// Byte budget for the process-wide content-hash repair cache
   /// (src/cache/repair_cache.h): > 0 makes Repair consult the shared
@@ -157,7 +134,7 @@ struct RepairResult {
   bool degraded = false;
   /// Per-stage observability of the pipeline run that produced this
   /// result: stage wall times, d-doubling trajectory, reduction ratio,
-  /// the algorithm kAuto actually chose, and copy counters. See
+  /// the solver that ran, and copy counters. See
   /// src/pipeline/telemetry.h.
   RepairTelemetry telemetry;
 };

@@ -1,5 +1,7 @@
 #include "src/core/solver.h"
 
+#include <cmath>
+#include <string_view>
 #include <utility>
 
 #include "src/pipeline/telemetry.h"
@@ -30,7 +32,8 @@ SolverRegistry& SolverRegistry::Global() {
     auto* r = new SolverRegistry();
     // Explicit registration instead of static-initializer side effects:
     // a static library strips translation units nothing references, which
-    // would silently lose a self-registering family.
+    // would silently lose a self-registering family. FPT goes first: the
+    // planner's small-cost floor takes the first admissible candidate.
     RegisterFptSolvers(*r);
     RegisterBaselineSolvers(*r);
     RegisterLmsSolvers(*r);
@@ -44,6 +47,12 @@ Status SolverRegistry::Register(std::unique_ptr<Solver> solver) {
   if (solver == nullptr || solver->name() == nullptr ||
       solver->name()[0] == '\0') {
     return Status::InvalidArgument("solver registration requires a name");
+  }
+  // ResolveSolver maps "auto" to the planner, so such an entry could
+  // never be selected.
+  if (std::string_view(solver->name()) == "auto") {
+    return Status::InvalidArgument(
+        "solver name 'auto' is reserved for the planner");
   }
   if (Find(solver->name()) != nullptr) {
     return Status::InvalidArgument(std::string("solver '") + solver->name() +
@@ -61,9 +70,24 @@ const Solver* SolverRegistry::Find(std::string_view name) const {
   return nullptr;
 }
 
-const Solver* SolverRegistry::ForAlgorithm(Algorithm algorithm) const {
-  if (algorithm == Algorithm::kAuto) return nullptr;
-  return Find(AlgorithmName(algorithm));
+StatusOr<const Solver*> ResolveSolver(const Options& options) {
+  // A NaN factor compares false against every bound, so it would pass the
+  // planner's filter and key cache entries no lookup can ever match.
+  if (std::isnan(options.max_approximation_factor)) {
+    return Status::InvalidArgument(
+        "max_approximation_factor must be a number, got nan");
+  }
+  const std::string_view name = options.solver;
+  if (name.empty() || name == "auto") {
+    return static_cast<const Solver*>(nullptr);
+  }
+  const Solver* solver = SolverRegistry::Global().Find(name);
+  if (solver == nullptr) {
+    return Status::InvalidArgument("unknown solver '" + options.solver + "'");
+  }
+  DYCK_RETURN_NOT_OK(solver->CheckMetric(
+      options.metric == Metric::kDeletionsAndSubstitutions));
+  return solver;
 }
 
 }  // namespace dyck

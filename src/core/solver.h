@@ -5,15 +5,12 @@
 // heuristic, and the banded single-peak specialization — sits behind one
 // Solver interface: a name, capability metadata, a calibrated cost model,
 // and Solve/SolveDistance entry points. Instances register themselves in
-// the SolverRegistry; the pipeline's Select stage (src/pipeline/planner.h)
-// asks the registry for the cheapest exact solver instead of dispatching
-// through a hardcoded `switch (Algorithm)`, and the CLI/C API address
-// solvers by registry name. Adding an algorithm is now: implement Solver,
-// register it, done — no switch arm in any layer (see DESIGN.md §5.10).
-//
-// Forced selection (Options::algorithm != kAuto, or Options::solver naming
-// a registry entry) routes to exactly one solver and is byte-identical to
-// the pre-registry dispatch; the differential tests pin that.
+// the SolverRegistry, and the registry name is the only handle on a
+// solver: Options::solver selects by it (ResolveSolver below), telemetry
+// records it (RepairTelemetry::solver_name), the repair cache keys on it,
+// and the CLI, the C API and the daemon pass it through. Adding an
+// algorithm is: implement Solver, register it, done — no enumerator or
+// switch arm in any layer (see DESIGN.md §5.10).
 
 #ifndef DYCKFIX_SRC_CORE_SOLVER_H_
 #define DYCKFIX_SRC_CORE_SOLVER_H_
@@ -51,34 +48,21 @@ struct SolverCaps {
   bool deletions = true;
   /// Supports Metric::kDeletionsAndSubstitutions (edit2).
   bool substitutions = true;
-  /// Always returns the true distance. Must equal
-  /// (approximation_factor == 1.0); approximate solvers are admitted by
-  /// the planner only when Options::max_approximation_factor covers their
-  /// factor (uncertified greedy — factor infinity — never is; it serves
-  /// forced selection and the DegradePolicy::kGreedy budget fallback).
-  bool exact = true;
   /// Consumes the Property-19 reduction (SolveRequest::reduced); the
   /// pipeline materializes one into context scratch before Solve.
   bool needs_reduced = false;
-  /// Solves bounded subproblems under the d-doubling driver of §1.1
-  /// (telemetry records the doubling trajectory).
-  bool supports_doubling = false;
   /// Eligible for automatic selection. Non-candidates are forced-only:
   /// branching (its exponential cost model makes any d-hint overestimate
-  /// catastrophic), greedy (approximate), and the "fpt" umbrella (its two
+  /// catastrophic), greedy (uncertified), and the "fpt" umbrella (its two
   /// metric-specific entries carry the calibrated models instead).
   bool planner_candidate = false;
-  /// Telemetry bucket (RepairTelemetry::chosen_algorithm and the
-  /// TelemetryAggregate per-algorithm counts).
-  Algorithm family = Algorithm::kAuto;
   /// Worst-case multiplicative accuracy guarantee of the solver's results:
-  /// 1.0 for exact solvers (`exact` must agree), a finite value f > 1 for
-  /// certified approximate solvers (every returned distance is proven
-  /// <= f * exact; src/approx), and +infinity for uncertified heuristics
-  /// (greedy). The planner admits a solver only when this is <=
-  /// max(1.0, Options::max_approximation_factor), so exact solvers are
-  /// always admissible and greedy never is. Declared last so pre-existing
-  /// positional aggregate initializers keep their meaning.
+  /// 1.0 for exact solvers (always the true distance), a finite value
+  /// f > 1 for certified approximate solvers (every returned distance is
+  /// proven <= f * exact; src/approx), and +infinity for uncertified
+  /// heuristics (greedy). The planner admits a solver only when this is
+  /// <= max(1.0, Options::max_approximation_factor), so exact solvers are
+  /// always admissible and greedy never is.
   double approximation_factor = 1.0;
 };
 
@@ -88,8 +72,8 @@ struct SolveRequest {
   ParenSpan seq;
   /// The Property-19 reduction of `seq`; non-null whenever the pipeline
   /// ran the Reduce stage (always for caps().needs_reduced solvers; also
-  /// under kAuto so the planner can inspect the reduced shape). Null on
-  /// the Distance() fast path, where no reduction is precomputed.
+  /// when the planner selects, so it can inspect the reduced shape). Null
+  /// on the Distance() fast path, where no reduction is precomputed.
   const Reduced* reduced = nullptr;
   /// Metric::kDeletionsAndSubstitutions?
   bool use_substitutions = false;
@@ -183,16 +167,18 @@ class Solver {
   virtual ~Solver() = default;
 
   /// Registry name, e.g. "fpt", "cubic", "banded". Stable across releases;
-  /// the CLI (--algorithm=<name>) and the C API address solvers by it.
+  /// Options::solver, the CLI (--algorithm=<name>), the C API and the
+  /// daemon (solver=<name>) address solvers by it. "auto" is reserved for
+  /// the planner.
   virtual const char* name() const = 0;
 
   virtual const SolverCaps& caps() const = 0;
 
   /// Predicted wall seconds to repair a document of `n` symbols whose
   /// distance is (at most) `d_hint`. Constants are calibrated from the
-  /// committed crossover benchmarks (BENCH_crossover.json; methodology in
-  /// DESIGN.md §5.10). Must be nondecreasing in both arguments — a unit
-  /// test enforces it for every registered solver.
+  /// crossover benchmark (bench_crossover -> BENCH_crossover.json;
+  /// methodology in DESIGN.md §5.10). Must be nondecreasing in both
+  /// arguments — a unit test enforces it for every registered solver.
   virtual double PredictCost(int64_t n, int64_t d_hint) const = 0;
 
   /// Structural applicability beyond caps(), e.g. the banded solver's
@@ -231,18 +217,17 @@ class Solver {
 class SolverRegistry {
  public:
   /// The registry every layer consults, with all built-in solvers
-  /// registered.
+  /// registered. The FPT family registers first, so the planner's
+  /// small-cost floor (the first admissible candidate in registration
+  /// order) is the paper's solver for the requested metric.
   static SolverRegistry& Global();
 
-  /// Adds a solver. InvalidArgument if the name is empty or taken.
+  /// Adds a solver. InvalidArgument if the name is empty, taken, or
+  /// "auto" (reserved for the planner).
   Status Register(std::unique_ptr<Solver> solver);
 
   /// nullptr when no solver has that name.
   const Solver* Find(std::string_view name) const;
-
-  /// The canonical solver for a forced Algorithm enumerator (its
-  /// AlgorithmName is the registry name); nullptr for kAuto.
-  const Solver* ForAlgorithm(Algorithm algorithm) const;
 
   /// Registration order; stable for the planner's deterministic
   /// tie-breaking and the CLI's --list-algorithms rendering.
@@ -252,6 +237,14 @@ class SolverRegistry {
   std::vector<std::unique_ptr<Solver>> owned_;
   std::vector<const Solver*> view_;
 };
+
+/// The one mapping from Options to a solver, shared by the pipeline's
+/// Select stage, Distance() and RepairDoc: the SolverRegistry::Global()
+/// entry Options::solver names, or nullptr when the name is "" or "auto"
+/// (the planner decides). InvalidArgument when the name is unknown, when
+/// the named solver does not support Options::metric, or when
+/// Options::max_approximation_factor is NaN.
+StatusOr<const Solver*> ResolveSolver(const Options& options);
 
 // Built-in family registration hooks, implemented next to their solvers
 // (src/fpt/solvers.cc, src/baseline/solvers.cc, src/lms/solvers.cc,

@@ -1,8 +1,9 @@
 // Registry adapters for the paper's FPT algorithms (Theorems 26 / 40).
 //
-// Three entries share one implementation:
-//   "fpt"              — the forced-selection umbrella (Algorithm::kFpt):
-//                        both metrics, never picked by the planner.
+// One adapter class, registered three times; the entries differ only in
+// name, capabilities and cost model:
+//   "fpt"              — the forced-selection umbrella: both metrics,
+//                        never picked by the planner.
 //   "fpt-deletion"     — deletion metric only, planner candidate with the
 //                        Theorem-26 cost model.
 //   "fpt-substitution" — substitution metric only, planner candidate with
@@ -23,34 +24,23 @@ namespace dyck {
 
 namespace {
 
-// Cost models calibrated against the committed crossover grid
-// (bench_crossover -> BENCH_crossover.json; methodology in DESIGN.md
-// §5.10). The linear term is the O(n) preprocessing; the n*d^3 term is an
-// empirical fit of the doubling driver's memo + reconstruction work over
-// the measured (n, d) grid — not the paper's worst-case exponent, which
-// would wildly overpredict at practical d.
-constexpr double kDeletionPerSymbol = 30e-9;
-constexpr double kDeletionPerSymbolD3 = 1.0e-9;
-constexpr double kSubstitutionPerSymbol = 300e-9;
-constexpr double kSubstitutionPerSymbolD3 = 2.5e-9;
+// Cost models calibrated against the crossover grid (bench_crossover ->
+// BENCH_crossover.json; methodology in DESIGN.md §5.10). The linear term
+// is the O(n) preprocessing; the n*d^3 term is an empirical fit of the
+// doubling driver's memo + reconstruction work over the measured (n, d)
+// grid — not the paper's worst-case exponent, which would wildly
+// overpredict at practical d.
+struct FptCostModel {
+  double per_symbol;
+  double per_symbol_d3;
+};
+constexpr FptCostModel kDeletionCost{30e-9, 1.0e-9};
+constexpr FptCostModel kSubstitutionCost{300e-9, 2.5e-9};
 
-double PredictDeletion(int64_t n, int64_t d_hint) {
-  const double nd = static_cast<double>(n);
-  const double dd = static_cast<double>(d_hint);
-  return kDeletionPerSymbol * nd + kDeletionPerSymbolD3 * nd * dd * dd * dd;
-}
-
-double PredictSubstitution(int64_t n, int64_t d_hint) {
-  const double nd = static_cast<double>(n);
-  const double dd = static_cast<double>(d_hint);
-  return kSubstitutionPerSymbol * nd +
-         kSubstitutionPerSymbolD3 * nd * dd * dd * dd;
-}
-
-// The pipeline's former kFpt arm, verbatim: doubling driver over bounded
-// Repair probes, borrowing the precomputed reduction and the context's
-// scratch when available (zero-copy), reducing internally otherwise (the
-// Distance() path and direct Solve calls without a pipeline).
+// Doubling driver over bounded Repair probes, borrowing the precomputed
+// reduction and the context's scratch when available (zero-copy),
+// reducing internally otherwise (the Distance() path and direct Solve
+// calls without a pipeline).
 Status SolveFpt(const SolveRequest& request, RepairContext& ctx,
                 RepairTelemetry* telemetry, SolverResult* out) {
   StatusOr<SolverResult> result = [&]() -> StatusOr<SolverResult> {
@@ -104,42 +94,17 @@ StatusOr<int64_t> FptDistance(const SolveRequest& request) {
       [&](int32_t d) { return solver.Distance(d); });
 }
 
-class FptUmbrellaSolver final : public Solver {
+class FptSolver final : public Solver {
  public:
-  const char* name() const override { return "fpt"; }
-  const SolverCaps& caps() const override {
-    static const SolverCaps caps{/*deletions=*/true, /*substitutions=*/true,
-                                 /*exact=*/true, /*needs_reduced=*/true,
-                                 /*supports_doubling=*/true,
-                                 /*planner_candidate=*/false,
-                                 Algorithm::kFpt};
-    return caps;
-  }
-  double PredictCost(int64_t n, int64_t d_hint) const override {
-    // Metric-agnostic, so conservatively the steeper of the two models.
-    return PredictSubstitution(n, d_hint);
-  }
-  Status Solve(const SolveRequest& request, RepairContext& ctx,
-               RepairTelemetry* telemetry, SolverResult* out) const override {
-    return SolveFpt(request, ctx, telemetry, out);
-  }
-  StatusOr<int64_t> SolveDistance(const SolveRequest& request) const override {
-    return FptDistance(request);
-  }
-};
+  FptSolver(const char* name, const SolverCaps& caps, FptCostModel cost)
+      : name_(name), caps_(caps), cost_(cost) {}
 
-class FptDeletionSolver final : public Solver {
- public:
-  const char* name() const override { return "fpt-deletion"; }
-  const SolverCaps& caps() const override {
-    static const SolverCaps caps{/*deletions=*/true, /*substitutions=*/false,
-                                 /*exact=*/true, /*needs_reduced=*/true,
-                                 /*supports_doubling=*/true,
-                                 /*planner_candidate=*/true, Algorithm::kFpt};
-    return caps;
-  }
+  const char* name() const override { return name_; }
+  const SolverCaps& caps() const override { return caps_; }
   double PredictCost(int64_t n, int64_t d_hint) const override {
-    return PredictDeletion(n, d_hint);
+    const double nd = static_cast<double>(n);
+    const double dd = static_cast<double>(d_hint);
+    return cost_.per_symbol * nd + cost_.per_symbol_d3 * nd * dd * dd * dd;
   }
   Status Solve(const SolveRequest& request, RepairContext& ctx,
                RepairTelemetry* telemetry, SolverResult* out) const override {
@@ -148,37 +113,32 @@ class FptDeletionSolver final : public Solver {
   StatusOr<int64_t> SolveDistance(const SolveRequest& request) const override {
     return FptDistance(request);
   }
-};
 
-class FptSubstitutionSolver final : public Solver {
- public:
-  const char* name() const override { return "fpt-substitution"; }
-  const SolverCaps& caps() const override {
-    static const SolverCaps caps{/*deletions=*/false, /*substitutions=*/true,
-                                 /*exact=*/true, /*needs_reduced=*/true,
-                                 /*supports_doubling=*/true,
-                                 /*planner_candidate=*/true, Algorithm::kFpt};
-    return caps;
-  }
-  double PredictCost(int64_t n, int64_t d_hint) const override {
-    return PredictSubstitution(n, d_hint);
-  }
-  Status Solve(const SolveRequest& request, RepairContext& ctx,
-               RepairTelemetry* telemetry, SolverResult* out) const override {
-    return SolveFpt(request, ctx, telemetry, out);
-  }
-  StatusOr<int64_t> SolveDistance(const SolveRequest& request) const override {
-    return FptDistance(request);
-  }
+ private:
+  const char* const name_;
+  const SolverCaps caps_;
+  const FptCostModel cost_;
 };
 
 }  // namespace
 
 void RegisterFptSolvers(SolverRegistry& registry) {
-  DYCK_CHECK(registry.Register(std::make_unique<FptUmbrellaSolver>()).ok());
-  DYCK_CHECK(registry.Register(std::make_unique<FptDeletionSolver>()).ok());
-  DYCK_CHECK(
-      registry.Register(std::make_unique<FptSubstitutionSolver>()).ok());
+  const auto add = [&registry](const char* name, const SolverCaps& caps,
+                               FptCostModel cost) {
+    DYCK_CHECK(
+        registry.Register(std::make_unique<FptSolver>(name, caps, cost))
+            .ok());
+  };
+  // The umbrella is metric-agnostic, so it conservatively carries the
+  // steeper substitution model.
+  add("fpt", {.needs_reduced = true}, kSubstitutionCost);
+  add("fpt-deletion",
+      {.substitutions = false, .needs_reduced = true,
+       .planner_candidate = true},
+      kDeletionCost);
+  add("fpt-substitution",
+      {.deletions = false, .needs_reduced = true, .planner_candidate = true},
+      kSubstitutionCost);
 }
 
 }  // namespace dyck

@@ -70,11 +70,9 @@ class BandedSolver final : public Solver {
  public:
   const char* name() const override { return "banded"; }
   const SolverCaps& caps() const override {
-    static const SolverCaps caps{/*deletions=*/true, /*substitutions=*/false,
-                                 /*exact=*/true, /*needs_reduced=*/true,
-                                 /*supports_doubling=*/true,
-                                 /*planner_candidate=*/true,
-                                 Algorithm::kBanded};
+    static const SolverCaps caps{.substitutions = false,
+                                 .needs_reduced = true,
+                                 .planner_candidate = true};
     return caps;
   }
   double PredictCost(int64_t n, int64_t d_hint) const override {

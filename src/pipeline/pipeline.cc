@@ -60,42 +60,18 @@ class StageTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-// Maps the Options' forced-selection fields onto a registry entry:
-// Options::solver (a registry name) wins over Options::algorithm (an enum
-// whose AlgorithmName is the registry name); both empty/kAuto means the
-// planner decides. Unknown names fail with InvalidArgument naming them.
-StatusOr<const Solver*> ResolveForcedSolver(const Options& options) {
-  if (!options.solver.empty()) {
-    const Solver* solver = SolverRegistry::Global().Find(options.solver);
-    if (solver == nullptr) {
-      return Status::InvalidArgument("unknown solver '" + options.solver +
-                                     "'");
-    }
-    return solver;
-  }
-  if (options.algorithm == Algorithm::kAuto) {
-    return static_cast<const Solver*>(nullptr);
-  }
-  const Solver* solver =
-      SolverRegistry::Global().ForAlgorithm(options.algorithm);
-  if (solver == nullptr) {
-    return Status::Internal(
-        std::string("no solver registered for algorithm '") +
-        AlgorithmName(options.algorithm) + "'");
-  }
-  return solver;
-}
-
 // The five stages, minus budget handling (RunInto() below owns that).
-// `out` is caller-owned so the telemetry written by StageTimer survives a
-// budget unwind mid-stage. All scratch — balance stack, reduction output,
-// height profile, valley structure, wave frontiers, FPT memo arena — comes
-// from `ctx`, which RunInto has already reset for this document.
+// `forced` is ResolveSolver(options): the named solver, or nullptr when
+// the planner selects. `out` is caller-owned so the telemetry written by
+// StageTimer survives a budget unwind mid-stage. All scratch — balance
+// stack, reduction output, height profile, valley structure, wave
+// frontiers, FPT memo arena — comes from `ctx`, which RunInto has already
+// reset for this document.
 // When `art` is non-null, stages 1-2 are served from the caller's cached
 // artifacts instead of scanning `seq` (see StageArtifacts in pipeline.h).
 Status RunStaged(const ParenSeq& seq, const Options& options,
-                 RepairContext& ctx, RepairResult* outp,
-                 StageArtifacts* art) {
+                 const Solver* forced, RepairContext& ctx,
+                 RepairResult* outp, StageArtifacts* art) {
   const ParenSpan view(seq);
   const bool subs = UseSubstitutions(options.metric);
   const int64_t cap = static_cast<int64_t>(seq.size()) + 1;
@@ -105,17 +81,14 @@ Status RunStaged(const ParenSeq& seq, const Options& options,
   telemetry.input_length = static_cast<int64_t>(seq.size());
   telemetry.simd_backend = simd::BackendName(simd::ActiveBackend());
 
-  // Forced selection resolves before any stage runs: an unknown solver
-  // name or an unsupported metric is an options error, not a solve error.
-  DYCK_ASSIGN_OR_RETURN(const Solver* forced, ResolveForcedSolver(options));
-  if (forced != nullptr) DYCK_RETURN_NOT_OK(forced->CheckMetric(subs));
   const bool is_auto = forced == nullptr;
 
   StageTimer timer(&telemetry);
 
   // Stage 1 — Normalize: the linear stack parse. Its balance verdict
-  // drives both the reduction policy and kAuto selection. A caller with
-  // cached artifacts already knows the verdict (empty merged residual).
+  // drives both the reduction policy and the planner's fast path. A
+  // caller with cached artifacts already knows the verdict (empty merged
+  // residual).
   timer.Start(PipelineStage::kNormalize);
   const bool balanced =
       art != nullptr ? art->balanced : IsBalanced(view, &ctx.type_stack());
@@ -184,13 +157,10 @@ Status RunStaged(const ParenSeq& seq, const Options& options,
       StatusOr<PlanDecision> plan = PlanSolver(request, ctx);
       if (!plan.ok()) return plan.status();
       solver = plan->solver;
-      telemetry.planner_choice = solver->name();
       telemetry.planned_cost = plan->predicted_cost;
       telemetry.d_upper_bound = plan->d_upper_bound;
     }
   }
-  telemetry.chosen_algorithm =
-      trivial ? Algorithm::kAuto : solver->caps().family;
   if (!trivial) telemetry.solver_name = solver->name();
   if (art != nullptr) art->served_by = trivial ? nullptr : solver;
   timer.Stop();
@@ -346,6 +316,10 @@ Status RunInto(const ParenSeq& seq, const Options& options,
     artifacts->served_by = nullptr;
     artifacts->materialize_skipped = false;
   }
+  // Selection resolves before the cache and before any stage runs: an
+  // unknown solver name, an unsupported metric or a NaN factor is an
+  // options error, not a solve error, and never reaches a cache key.
+  DYCK_ASSIGN_OR_RETURN(const Solver* forced, ResolveSolver(options));
 
   // Content-hash cache consult, eager path only. The StageArtifacts path
   // (RepairDoc) may return partial results (pairs omitted, materialize
@@ -387,7 +361,7 @@ Status RunInto(const ParenSeq& seq, const Options& options,
   }
 
   if (budget == nullptr) {
-    DYCK_RETURN_NOT_OK(RunStaged(seq, options, ctx, out, artifacts));
+    DYCK_RETURN_NOT_OK(RunStaged(seq, options, forced, ctx, out, artifacts));
     // A clean exact run reports no lower bound (the distance is exact);
     // certified approximate runs keep the bound their certificate proved.
     if (out->telemetry.certified_factor == 1.0) {
@@ -403,7 +377,7 @@ Status RunInto(const ParenSeq& seq, const Options& options,
   Status status;
   bool tripped = false;
   try {
-    status = RunStaged(seq, options, ctx, out, artifacts);
+    status = RunStaged(seq, options, forced, ctx, out, artifacts);
   } catch (const BudgetExceededError& error) {
     status = error.status;
     tripped = true;

@@ -9,15 +9,14 @@
 //                     consumers that need it: solvers whose caps() declare
 //                     needs_reduced borrow it from the context, the
 //                     balanced fast path takes just the zero-cost pair
-//                     alignment, and under kAuto it is always built so the
-//                     planner can inspect the reduced shape. Cubic and
-//                     branching solve the raw input, so the stage is a
-//                     no-op when they are forced (reduction would relocate
-//                     their script positions).
-//   3. Select       — resolve the solver: a forced Options::solver /
-//                     Options::algorithm maps to its registry entry
-//                     (byte-identical to the pre-registry dispatch);
-//                     kAuto goes to the cost-model planner
+//                     alignment, and when the planner selects it is
+//                     always built so the planner can inspect the reduced
+//                     shape. Cubic and branching solve the raw input, so
+//                     the stage is a no-op when they are forced (reduction
+//                     would relocate their script positions).
+//   3. Select       — resolve the solver (ResolveSolver, src/core/
+//                     solver.h): a forced Options::solver is its registry
+//                     entry; "" / "auto" goes to the cost-model planner
 //                     (src/pipeline/planner.h), balanced inputs to the
 //                     trivial path.
 //   4. Solve        — Solver::Solve of the selected registry entry, under
@@ -30,9 +29,9 @@
 // trajectory, the planner's decision, and copy counters, and a test pins
 // seq_copies == 0.
 //
-// Run() with a forced algorithm is byte-identical to the dispatch it
-// replaced: same scripts, same distances, same Status codes, for every
-// Options combination.
+// The planner only picks which registry entry runs: Run() with "auto" is
+// byte-identical to forcing the solver it picked, for every Options
+// combination (tests/planner_test.cc pins that).
 
 #ifndef DYCKFIX_SRC_PIPELINE_PIPELINE_H_
 #define DYCKFIX_SRC_PIPELINE_PIPELINE_H_

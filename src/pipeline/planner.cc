@@ -10,9 +10,10 @@ namespace dyck {
 namespace {
 
 // Predictions below this are inside measurement noise for a single
-// document; prefer the paper's FPT default there instead of trusting
-// sub-noise model deltas. Keeps tiny inputs on the historical (and
-// test-pinned) kAuto -> fpt path.
+// document; there the first admissible candidate in registration order
+// wins instead of a sub-noise model delta. SolverRegistry::Global()
+// registers the FPT family first, so tiny inputs keep the paper's solver
+// (test-pinned).
 constexpr double kSmallCostFloorSeconds = 200e-6;
 
 }  // namespace
@@ -63,8 +64,8 @@ StatusOr<PlanDecision> PlanSolver(const SolveRequest& request,
 
   const Solver* best = nullptr;
   double best_cost = 0;
-  const Solver* fpt = nullptr;
-  double fpt_cost = 0;
+  const Solver* first = nullptr;
+  double first_cost = 0;
   for (const Solver* solver : SolverRegistry::Global().solvers()) {
     const SolverCaps& caps = solver->caps();
     if (!caps.planner_candidate || caps.approximation_factor > max_factor) {
@@ -73,18 +74,18 @@ StatusOr<PlanDecision> PlanSolver(const SolveRequest& request,
     if (subs ? !caps.substitutions : !caps.deletions) continue;
     if (!solver->Applicable(hinted)) continue;
     const double cost = solver->PredictCost(n, d_hint);
-    if (caps.family == Algorithm::kFpt && fpt == nullptr) {
-      fpt = solver;
-      fpt_cost = cost;
+    if (first == nullptr) {
+      first = solver;
+      first_cost = cost;
     }
     if (best == nullptr || cost < best_cost) {
       best = solver;
       best_cost = cost;
     }
   }
-  if (fpt != nullptr && fpt_cost <= kSmallCostFloorSeconds) {
-    best = fpt;
-    best_cost = fpt_cost;
+  if (first != nullptr && first_cost <= kSmallCostFloorSeconds) {
+    best = first;
+    best_cost = first_cost;
   }
   if (best == nullptr) {
     return Status::Internal(

@@ -1,4 +1,5 @@
-// Cost-model planner: resolves Algorithm::kAuto against the SolverRegistry.
+// Cost-model planner: picks the solver for Options::solver "" / "auto"
+// from the SolverRegistry.
 //
 // The pipeline's Select stage used to hardcode "unbalanced -> kFpt". The
 // planner instead derives a distance upper bound d from two linear greedy
@@ -17,9 +18,10 @@
 //
 // Selection is deterministic: ties break toward registration order, and a
 // small-cost floor keeps predictions below measurement noise from flapping
-// — when the FPT candidate's predicted cost is under ~200us, it is chosen
-// outright (at that scale every exact solver finishes "instantly" and the
-// paper's default is the right answer).
+// — when the first admissible candidate in registration order predicts
+// under ~200us, it is chosen outright. The FPT family registers first, so
+// at that scale (where every exact solver finishes "instantly") the
+// paper's solver is the answer.
 
 #ifndef DYCKFIX_SRC_PIPELINE_PLANNER_H_
 #define DYCKFIX_SRC_PIPELINE_PLANNER_H_

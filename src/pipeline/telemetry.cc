@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "src/core/dyck.h"
-
 namespace dyck {
 
 namespace {
@@ -45,31 +43,6 @@ const char* PipelineStageName(PipelineStage stage) {
   return "unknown";
 }
 
-// telemetry.h only forward-declares Algorithm; verify its enumerator count
-// guess here, where the real enum is visible.
-static_assert(static_cast<int>(Algorithm::kApprox) + 1 == kNumAlgorithms,
-              "kNumAlgorithms out of sync with enum Algorithm");
-
-const char* AlgorithmName(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kAuto:
-      return "auto";
-    case Algorithm::kFpt:
-      return "fpt";
-    case Algorithm::kCubic:
-      return "cubic";
-    case Algorithm::kBranching:
-      return "branching";
-    case Algorithm::kBanded:
-      return "banded";
-    case Algorithm::kGreedy:
-      return "greedy";
-    case Algorithm::kApprox:
-      return "approx";
-  }
-  return "unknown";
-}
-
 double RepairTelemetry::TotalSeconds() const {
   double total = 0;
   for (const double s : stage_seconds) total += s;
@@ -78,13 +51,12 @@ double RepairTelemetry::TotalSeconds() const {
 
 std::string RepairTelemetry::ToString() const {
   std::ostringstream os;
-  os << "algorithm="
-     << (balanced_fast_path ? "none(balanced)"
-                            : AlgorithmName(chosen_algorithm));
-  if (!solver_name.empty()) os << " solver=" << solver_name;
+  os << "solver="
+     << (balanced_fast_path   ? "none(balanced)"
+         : solver_name.empty() ? "none"
+                               : solver_name.c_str());
   if (d_upper_bound >= 0) {
-    os << " planner=" << planner_choice << " d_hint=" << d_upper_bound
-       << " planned=" << Micros(planned_cost);
+    os << " d_hint=" << d_upper_bound << " planned=" << Micros(planned_cost);
   }
   os << " iterations=" << doubling_iterations << " bound=" << solve_bound
      << " reduced=";
@@ -144,8 +116,6 @@ void TelemetryAggregate::Add(const RepairTelemetry& telemetry) {
     reduced_length_total += telemetry.reduced_length;
     reduced_input_total += telemetry.input_length;
   }
-  const int index = static_cast<int>(telemetry.chosen_algorithm);
-  if (index >= 0 && index < kNumAlgorithms) ++algorithm_counts[index];
   if (!telemetry.solver_name.empty()) {
     ++solver_documents[telemetry.solver_name];
   }
@@ -185,9 +155,6 @@ void TelemetryAggregate::Merge(const TelemetryAggregate& other) {
   subproblems += other.subproblems;
   reduced_length_total += other.reduced_length_total;
   reduced_input_total += other.reduced_input_total;
-  for (int i = 0; i < kNumAlgorithms; ++i) {
-    algorithm_counts[i] += other.algorithm_counts[i];
-  }
   for (const auto& [name, count] : other.solver_documents) {
     solver_documents[name] += count;
   }
@@ -219,13 +186,9 @@ double TelemetryAggregate::TotalSeconds() const {
 
 std::string TelemetryAggregate::ToString() const {
   std::ostringstream os;
-  os << "docs=" << documents << " trivial=" << algorithm_counts[0];
-  for (const Algorithm algorithm :
-       {Algorithm::kFpt, Algorithm::kCubic, Algorithm::kBranching,
-        Algorithm::kBanded, Algorithm::kGreedy, Algorithm::kApprox}) {
-    os << " " << AlgorithmName(algorithm) << "="
-       << algorithm_counts[static_cast<int>(algorithm)];
-  }
+  int64_t solved = 0;
+  for (const auto& [name, count] : solver_documents) solved += count;
+  os << "docs=" << documents << " trivial=" << documents - solved;
   if (!solver_documents.empty()) {
     os << " solvers=";
     bool first = true;

@@ -2,7 +2,7 @@
 //
 // Every Repair() call fills a RepairTelemetry: wall time per pipeline
 // stage, the d-doubling trajectory, the Property-19 reduction ratio, which
-// algorithm actually ran, and copy/allocation counters proving the
+// solver actually ran, and copy/allocation counters proving the
 // pipeline shuttles views (ParenSpan) rather than sequence copies between
 // stages. The struct rides on RepairResult through every layer — the batch
 // runtime aggregates it across workers (TelemetryAggregate), the C API
@@ -23,9 +23,6 @@
 
 namespace dyck {
 
-// Defined in core/dyck.h; opaque here to keep the layering acyclic.
-enum class Algorithm : int;
-
 /// The five stages of the single-document repair pipeline, in execution
 /// order. See src/pipeline/pipeline.h for what each stage does and
 /// DESIGN.md for the mapping to paper sections.
@@ -35,7 +32,8 @@ enum class PipelineStage : int {
   /// Property-19 reduction (Fact 18) + the zero-cost pair alignment; run
   /// only for paths that consume it (FPT solvers, balanced fast path).
   kProfileReduce = 1,
-  /// Algorithm selection: resolving Algorithm::kAuto.
+  /// Solver selection: the cost-model planner, unless Options::solver
+  /// names a registry entry.
   kSelect = 2,
   /// The solver itself, including the d-doubling driver (§1.1).
   kSolve = 3,
@@ -48,13 +46,6 @@ inline constexpr int kNumPipelineStages = 5;
 /// Short lowercase stage name ("normalize", "reduce", ...), for logs and
 /// the CLI --stats rendering.
 const char* PipelineStageName(PipelineStage stage);
-
-/// Lowercase name of an Algorithm value ("auto", "fpt", ...).
-const char* AlgorithmName(Algorithm algorithm);
-
-/// Number of Algorithm enumerators (telemetry.cc static_asserts this
-/// against the real enum in core/dyck.h, which is opaque here).
-inline constexpr int kNumAlgorithms = 7;
 
 /// Observability record of one Repair() pipeline run.
 struct RepairTelemetry {
@@ -74,20 +65,15 @@ struct RepairTelemetry {
   /// Memoized subproblems solved by the FPT solver's last probe; 0 for
   /// non-FPT paths. The paper bounds this by poly(d) independently of n.
   int64_t subproblems = 0;
-  /// The algorithm that actually produced the result. For kAuto options
-  /// this is the resolved choice; Algorithm::kAuto (0) only when the
-  /// balanced fast path answered without running any solver.
-  Algorithm chosen_algorithm = static_cast<Algorithm>(0);
-  /// True when the input was already balanced and kAuto short-circuited.
+  /// True when the input was already balanced and, with no solver forced,
+  /// the pipeline answered without running one.
   bool balanced_fast_path = false;
-  /// Registry name of the solver that produced the result ("fpt",
-  /// "cubic", "banded", ...); empty on the balanced fast path and the
-  /// trivial path, where no solver ran.
+  /// Registry name of the solver that produced the result ("fpt-deletion",
+  /// "cubic", "banded", ...), whether forced or picked by the planner
+  /// (d_upper_bound >= 0 tells which); empty on the balanced fast path,
+  /// where no solver ran. A degraded result keeps the name of the solver
+  /// the budget interrupted.
   std::string solver_name;
-  /// The planner's pick under kAuto (equal to solver_name unless a budget
-  /// later degraded the run to greedy); empty for forced selection, where
-  /// the planner never ran.
-  std::string planner_choice;
   /// The cost model's predicted wall seconds for the planner's pick; -1
   /// when the planner did not run.
   double planned_cost = -1;
@@ -169,9 +155,10 @@ struct RepairTelemetry {
   double TotalSeconds() const;
 
   /// One-line human-readable rendering, e.g.
-  /// "algorithm=fpt iterations=2 bound=2 reduced=6/128 copies=0
-  ///  normalize=1.2us reduce=0.8us select=0.1us solve=40.5us
-  ///  materialize=2.2us total=44.8us".
+  /// "solver=fpt-deletion d_hint=2 planned=3.1us iterations=2 bound=2
+  ///  reduced=6/128 copies=0 normalize=1.2us reduce=0.8us select=0.1us
+  ///  solve=40.5us materialize=2.2us total=44.8us"; "solver=none(balanced)"
+  /// on the balanced fast path.
   std::string ToString() const;
 };
 
@@ -190,11 +177,9 @@ struct TelemetryAggregate {
   /// (reduced_length >= 0), giving the corpus-level reduction ratio.
   int64_t reduced_length_total = 0;
   int64_t reduced_input_total = 0;
-  /// Documents per resolved algorithm, indexed by Algorithm's enumerator
-  /// value (kAuto counts the balanced fast path).
-  int64_t algorithm_counts[kNumAlgorithms] = {};
-  /// Documents per registry solver name (finer-grained than the family
-  /// buckets above, e.g. "fpt-deletion" vs "fpt-substitution").
+  /// Documents per registry solver name (RepairTelemetry::solver_name);
+  /// documents where no solver ran are not counted (ToString reports
+  /// them as trivial=).
   std::map<std::string, int64_t> solver_documents;
   /// Documents whose budget tripped and were served by the greedy
   /// fallback (DegradePolicy::kGreedy or the uncertified end of
@@ -236,8 +221,8 @@ struct TelemetryAggregate {
   double TotalSeconds() const;
 
   /// One-line rendering of the totals, e.g.
-  /// "docs=48 trivial=12 fpt=36 cubic=0 branching=0 iterations=80
-  ///  copies=0 normalize=... total=...".
+  /// "docs=48 trivial=12 solvers=cubic:4,fpt-substitution:32
+  ///  iterations=80 copies=0 normalize=... total=...".
   std::string ToString() const;
 };
 

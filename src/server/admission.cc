@@ -76,8 +76,7 @@ void AdmissionController::ApplyTier(PressureTier tier, Options* options) {
       return;
     case PressureTier::kGreedy:
       // Linear-time floor: uncertified, but bounded work per request.
-      options->algorithm = Algorithm::kGreedy;
-      options->solver.clear();
+      options->solver = "greedy";
       options->max_approximation_factor =
           std::max(options->max_approximation_factor, 3.0);
       if (options->on_budget_exceeded == DegradePolicy::kFail) {

@@ -18,9 +18,10 @@
 //
 // The tiers reuse the repair stack's existing accuracy machinery
 // (Options::max_approximation_factor admits the certified src/approx
-// solvers; Algorithm::kGreedy is the linear-time floor), so a degraded
-// response is a *normal* response — balanced output, telemetry, and a
-// certified_factor a client can inspect — not a different code path.
+// solvers; Options::solver = "greedy" is the linear-time floor), so a
+// degraded response is a *normal* response — balanced output, telemetry,
+// and a certified_factor a client can inspect — not a different code
+// path.
 //
 // Thresholds default to 1/2 and 3/4 of max_queue_depth. The depth reading
 // is a point-in-time snapshot (ThreadPool::QueueDepth); a one-request
@@ -88,7 +89,8 @@ class AdmissionController {
 
   /// Rewrites `options` for the tier: kApproximate widens
   /// max_approximation_factor to at least 3.0 (and degrades budget trips
-  /// to the certified ladder); kGreedy forces the linear-time solver.
+  /// to the certified ladder); kGreedy forces the linear-time "greedy"
+  /// solver.
   /// kExact / kShed leave the options untouched.
   static void ApplyTier(PressureTier tier, Options* options);
 

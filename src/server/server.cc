@@ -233,7 +233,8 @@ StatusOr<Options> Session::RequestOptions(const Frame& frame) const {
   if (const std::string* factor = frame.Find("factor")) {
     char* end = nullptr;
     const double value = std::strtod(factor->c_str(), &end);
-    if (end == factor->c_str() || *end != '\0' || value < 0) {
+    // !(value >= 0) also refuses "nan", which strtod accepts.
+    if (end == factor->c_str() || *end != '\0' || !(value >= 0)) {
       return Status::InvalidArgument(
           "factor must be a non-negative decimal; got '" + *factor + "'");
     }

@@ -98,7 +98,7 @@ const std::vector<OracleCase>& OracleCorpus() {
 std::vector<const Solver*> ApproximateSolvers() {
   std::vector<const Solver*> out;
   for (const Solver* solver : SolverRegistry::Global().solvers()) {
-    if (!solver->caps().exact) out.push_back(solver);
+    if (solver->caps().approximation_factor != 1.0) out.push_back(solver);
   }
   return out;
 }
@@ -255,21 +255,19 @@ TEST(ApproxDifferentialTest, CertifiedGreedyDeclinesLoudly) {
 }
 
 // Forced selection through the public Options surface reaches the ladder:
-// Algorithm::kApprox lands on the canonical "approx" entry, and both rungs
-// are reachable by registry name.
+// both rungs are reachable by registry name.
 TEST(ApproxDifferentialTest, ForcedSelectionReachesTheLadder) {
   const ParenSeq seq = Parse("((((((((((((((((");
-  Options by_enum;
-  by_enum.algorithm = Algorithm::kApprox;
-  const auto via_enum = Repair(seq, by_enum);
-  ASSERT_TRUE(via_enum.ok()) << via_enum.status();
-  EXPECT_EQ(via_enum->telemetry.solver_name, "approx");
-  EXPECT_EQ(via_enum->telemetry.chosen_algorithm, Algorithm::kApprox);
+  Options by_refine;
+  by_refine.solver = "approx";
+  const auto via_refine = Repair(seq, by_refine);
+  ASSERT_TRUE(via_refine.ok()) << via_refine.status();
+  EXPECT_EQ(via_refine->telemetry.solver_name, "approx");
   // Sixteen unmatched openers under the default edit2 metric: greedy
   // pairs them for U = 8 while the relaxation proves L = 8, so the
   // certificate collapses to a proof of optimality.
-  EXPECT_EQ(via_enum->distance, 8);
-  EXPECT_EQ(via_enum->telemetry.certified_factor, 1.0);
+  EXPECT_EQ(via_refine->distance, 8);
+  EXPECT_EQ(via_refine->telemetry.certified_factor, 1.0);
 
   Options by_name;
   by_name.solver = "approx-greedy";

@@ -254,11 +254,10 @@ TEST(ContextReuseTest, FreshAndReusedContextsAreByteIdentical) {
   std::vector<Options> grid;
   for (const Metric metric :
        {Metric::kDeletionsOnly, Metric::kDeletionsAndSubstitutions}) {
-    for (const Algorithm algorithm :
-         {Algorithm::kAuto, Algorithm::kFpt, Algorithm::kCubic}) {
+    for (const char* solver : {"auto", "fpt", "cubic"}) {
       Options options;
       options.metric = metric;
-      options.algorithm = algorithm;
+      options.solver = solver;
       grid.push_back(options);
     }
   }

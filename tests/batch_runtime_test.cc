@@ -129,13 +129,13 @@ TEST(BatchRuntimeTest, TelemetryAggregatesAcrossJobs) {
     EXPECT_EQ(got.seq_copies, 0) << "jobs=" << jobs;
     EXPECT_EQ(got.reduced_length_total, expected.reduced_length_total);
     EXPECT_EQ(got.reduced_input_total, expected.reduced_input_total);
-    int64_t algorithm_total = 0;
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(got.algorithm_counts[i], expected.algorithm_counts[i])
-          << "jobs=" << jobs << " algorithm " << i;
-      algorithm_total += got.algorithm_counts[i];
+    EXPECT_EQ(got.solver_documents, expected.solver_documents)
+        << "jobs=" << jobs;
+    // The planner's exact choices for this metric; the rest of the corpus
+    // is balanced and ran no solver.
+    for (const auto& [name, count] : got.solver_documents) {
+      EXPECT_TRUE(name == "fpt-substitution" || name == "cubic") << name;
     }
-    EXPECT_EQ(algorithm_total, static_cast<int64_t>(docs.size()));
     // Same records, same order, same double summation: exactly equal.
     for (int s = 0; s < kNumPipelineStages; ++s) {
       EXPECT_DOUBLE_EQ(got.stage_seconds[s], expected.stage_seconds[s])

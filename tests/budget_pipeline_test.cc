@@ -36,7 +36,7 @@ const char* kEightOpens = "((((((((";
 struct CheckpointCase {
   const char* checkpoint;
   Metric metric;
-  Algorithm algorithm;
+  const char* solver;
 };
 
 class BudgetCheckpointTest
@@ -49,7 +49,7 @@ TEST_P(BudgetCheckpointTest, FailPolicyReturnsTheInjectedStatus) {
 
   Options options;
   options.metric = c.metric;
-  options.algorithm = c.algorithm;
+  options.solver = c.solver;
   options.on_budget_exceeded = DegradePolicy::kFail;
   const auto result = Repair(Parse(kEightOpens), options);
   ASSERT_FALSE(result.ok()) << "checkpoint " << c.checkpoint
@@ -64,7 +64,7 @@ TEST_P(BudgetCheckpointTest, GreedyPolicyDegradesWithTelemetry) {
 
   Options options;
   options.metric = c.metric;
-  options.algorithm = c.algorithm;
+  options.solver = c.solver;
   options.on_budget_exceeded = DegradePolicy::kGreedy;
   const auto result = Repair(Parse(kEightOpens), options);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -85,16 +85,14 @@ TEST_P(BudgetCheckpointTest, GreedyPolicyDegradesWithTelemetry) {
 INSTANTIATE_TEST_SUITE_P(
     AllCheckpoints, BudgetCheckpointTest,
     ::testing::Values(
-        CheckpointCase{"pipeline.doubling", Metric::kDeletionsOnly,
-                       Algorithm::kFpt},
-        CheckpointCase{"fpt.deletion.solve", Metric::kDeletionsOnly,
-                       Algorithm::kFpt},
+        CheckpointCase{"pipeline.doubling", Metric::kDeletionsOnly, "fpt"},
+        CheckpointCase{"fpt.deletion.solve", Metric::kDeletionsOnly, "fpt"},
         CheckpointCase{"fpt.substitution.solve",
-                       Metric::kDeletionsAndSubstitutions, Algorithm::kFpt},
+                       Metric::kDeletionsAndSubstitutions, "fpt"},
         CheckpointCase{"baseline.cubic.fill", Metric::kDeletionsOnly,
-                       Algorithm::kCubic},
+                       "cubic"},
         CheckpointCase{"baseline.branching.search", Metric::kDeletionsOnly,
-                       Algorithm::kBranching}),
+                       "branching"}),
     [](const ::testing::TestParamInfo<CheckpointCase>& info) {
       std::string name = info.param.checkpoint;
       for (char& ch : name) {
@@ -170,7 +168,7 @@ TEST(BudgetDegradeLadderTest, ApproximateRungCertifiesTightFallbacks) {
 
   Options options;
   options.metric = Metric::kDeletionsOnly;
-  options.algorithm = Algorithm::kFpt;
+  options.solver = "fpt";
   options.on_budget_exceeded = DegradePolicy::kApproximate;
   const auto result = Repair(doc, options);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -203,7 +201,7 @@ TEST(BudgetDegradeLadderTest, ApproximateRungFallsThroughUncertified) {
 
   Options options;
   options.metric = Metric::kDeletionsAndSubstitutions;
-  options.algorithm = Algorithm::kFpt;
+  options.solver = "fpt";
   options.on_budget_exceeded = DegradePolicy::kApproximate;
   const auto result = Repair(doc, options);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -230,7 +228,7 @@ TEST(BudgetPipelineTest, MemoryCapTripsTheCubicTable) {
   // The cubic DP table for n symbols is (n+1)^2 * 4 bytes; cap below it.
   const ParenSeq doc = gen::ManyValleys(4, 8);  // n = 64
   Options options;
-  options.algorithm = Algorithm::kCubic;
+  options.solver = "cubic";
   options.max_memory_bytes = 1000;  // 65 * 65 * 4 = 16900 > 1000
   options.on_budget_exceeded = DegradePolicy::kFail;
   const auto result = Repair(doc, options);
@@ -327,7 +325,7 @@ TEST(BudgetDistanceTest, DistanceIgnoresTheDegradePolicy) {
   Options options;
   // Explicit kFpt: kAuto would answer single-type inputs via the Dyck-1
   // closed form without ever reaching the doubling checkpoint.
-  options.algorithm = Algorithm::kFpt;
+  options.solver = "fpt";
   options.on_budget_exceeded = DegradePolicy::kGreedy;  // ignored
   const auto distance = Distance(Parse(kEightOpens), options);
   ASSERT_FALSE(distance.ok()) << "Distance has no degraded channel";
@@ -336,7 +334,7 @@ TEST(BudgetDistanceTest, DistanceIgnoresTheDegradePolicy) {
 
 TEST(BudgetDistanceTest, DistanceWithinBudgetIsExact) {
   Options options;
-  options.algorithm = Algorithm::kFpt;  // run the driver under the budget
+  options.solver = "fpt";  // run the driver under the budget
   options.max_work_steps = 100000000;
   const auto distance = Distance(Parse(kEightOpens), options);
   ASSERT_TRUE(distance.ok()) << distance.status();

@@ -50,15 +50,13 @@ std::vector<ParenSeq> Corpus() {
 
 std::vector<Options> OptionGrid() {
   std::vector<Options> grid;
-  for (const Algorithm algorithm :
-       {Algorithm::kAuto, Algorithm::kFpt, Algorithm::kCubic,
-        Algorithm::kApprox}) {
+  for (const std::string solver : {"auto", "fpt", "cubic", "approx"}) {
     for (const Metric metric :
          {Metric::kDeletionsAndSubstitutions, Metric::kDeletionsOnly}) {
       Options options;
-      options.algorithm = algorithm;
+      options.solver = solver;
       options.metric = metric;
-      if (algorithm == Algorithm::kApprox) {
+      if (solver == "approx") {
         options.max_approximation_factor = 3.0;
       }
       grid.push_back(options);
@@ -98,8 +96,8 @@ TEST(CacheDifferentialTest, PipelineFreshContexts) {
       const auto reference = Repair(docs[i], base);
       const auto cached = Repair(docs[i], cached_options);
       ExpectSameResult(reference, cached,
-                       "doc " + std::to_string(i) + " algorithm " +
-                           std::to_string(static_cast<int>(base.algorithm)));
+                       "doc " + std::to_string(i) + " solver " +
+                           base.solver);
     }
     // The repeated half of the corpus must actually have hit.
     EXPECT_GT(cache.Stats().hits, 0);

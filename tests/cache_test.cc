@@ -88,6 +88,28 @@ TEST(RepairCacheTest, BudgetFieldsDoNotParticipateInTheKey) {
               cache::OptionsKey::From(tight));
 }
 
+TEST(RepairCacheTest, AutoAndEmptySolverShareEntries) {
+  // "" and "auto" both mean the planner, so they are one key; a forced
+  // name is another.
+  const Options empty;
+  Options named_auto;
+  named_auto.solver = "auto";
+  Options forced;
+  forced.solver = "fpt";
+  EXPECT_TRUE(cache::OptionsKey::From(empty) ==
+              cache::OptionsKey::From(named_auto));
+  EXPECT_FALSE(cache::OptionsKey::From(empty) ==
+               cache::OptionsKey::From(forced));
+
+  cache::RepairCache cache(1 << 20);
+  const ParenSeq seq = Tokens("(()[]");
+  ASSERT_TRUE(Repair(seq, {.solver = "", .cache = &cache}).ok());
+  const auto hit = Repair(seq, {.solver = "auto", .cache = &cache});
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->telemetry.cache_hit);
+  EXPECT_EQ(cache.Stats().hits, 1);
+}
+
 TEST(RepairCacheTest, CollisionsSurviveNarrowHashMask) {
   // Mask every hash to zero: all entries share one chain and only the
   // full-key comparison tells them apart.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -290,7 +291,7 @@ TEST(CapiOptionsTest, InitFillsTheDocumentedDefaults) {
 }
 
 TEST(CapiOptionsTest, AlgorithmSelectsForcedSolversByName) {
-  /* Forced family names and registry names repair identically. */
+  /* "auto" and forced registry names repair identically. */
   const char* text = "(()(";
   for (const char* algorithm :
        {"auto", "fpt", "fpt-deletion", "cubic", "branching"}) {
@@ -488,6 +489,15 @@ TEST(CapiOptionsTest, InvalidValuesGetSpecificErrors) {
             DYCKFIX_ERROR_INVALID_ARGUMENT);
   EXPECT_NE(std::string(dyckfix_last_error()).find("unknown metric 9"),
             std::string::npos);
+
+  /* NaN fails every comparison, so a range check alone would let it in. */
+  dyckfix_options_init(&opts);
+  opts.max_approx_factor = std::nan("");
+  EXPECT_EQ(dyckfix_repair_opts("(()(", &opts, &out, &distance, nullptr),
+            DYCKFIX_ERROR_INVALID_ARGUMENT);
+  EXPECT_NE(std::string(dyckfix_last_error()).find("max_approx_factor"),
+            std::string::npos)
+      << dyckfix_last_error();
 
   /* NULL opts is invalid too. */
   EXPECT_EQ(dyckfix_repair_opts("()", nullptr, &out, &distance, nullptr),

@@ -347,7 +347,8 @@ TEST(CliTest, StatsFlagPrintsPipelineBreakdown) {
   const RunResult repaired =
       RunCliMerged("--format=parens --quiet --stats", "(()(");
   EXPECT_EQ(repaired.exit_code, 1);
-  EXPECT_NE(repaired.stdout_text.find("dyckfix: stats: algorithm=fpt"),
+  EXPECT_NE(repaired.stdout_text.find(
+                "dyckfix: stats: solver=fpt-substitution"),
             std::string::npos)
       << repaired.stdout_text;
   for (const char* field :
@@ -361,14 +362,14 @@ TEST(CliTest, StatsFlagPrintsPipelineBreakdown) {
       RunCliMerged("--format=parens --quiet --stats", "()");
   EXPECT_EQ(balanced.exit_code, 0);
   EXPECT_NE(
-      balanced.stdout_text.find("dyckfix: stats: algorithm=none(balanced)"),
+      balanced.stdout_text.find("dyckfix: stats: solver=none(balanced)"),
       std::string::npos)
       << balanced.stdout_text;
 
   const RunResult cubic = RunCliMerged(
       "--format=parens --quiet --stats --algorithm=cubic", "((");
   EXPECT_EQ(cubic.exit_code, 1);
-  EXPECT_NE(cubic.stdout_text.find("dyckfix: stats: algorithm=cubic"),
+  EXPECT_NE(cubic.stdout_text.find("dyckfix: stats: solver=cubic"),
             std::string::npos)
       << cubic.stdout_text;
 }
@@ -425,7 +426,9 @@ TEST(CliTest, BatchStatsAggregatesAcrossFiles) {
   EXPECT_NE(result.stdout_text.find("dyckfix: stats: docs=2"),
             std::string::npos)
       << result.stdout_text;
-  EXPECT_NE(result.stdout_text.find("fpt=2"), std::string::npos);
+  EXPECT_NE(result.stdout_text.find("trivial=0 solvers=fpt-substitution:2"),
+            std::string::npos)
+      << result.stdout_text;
   EXPECT_NE(result.stdout_text.find("copies=0"), std::string::npos);
   fs::remove_all(dir);
 }
@@ -442,9 +445,7 @@ TEST(CliTest, UnknownFlagValuesGiveUsableErrors) {
   const RunResult algorithm = RunCliMerged("--algorithm=quantum", "()");
   EXPECT_EQ(algorithm.exit_code, 2);
   EXPECT_NE(algorithm.stdout_text.find(
-                "unknown --algorithm value 'quantum' (expected "
-                "auto|fpt|cubic|branching|banded|greedy|approx or a name"
-                " from --list-algorithms)"),
+                "unknown solver 'quantum' (see --list-algorithms)"),
             std::string::npos)
       << algorithm.stdout_text;
 
@@ -481,6 +482,8 @@ TEST(CliTest, ListAlgorithmsPrintsTheRegistry) {
   EXPECT_NE(result.stdout_text.find("heuristic"), std::string::npos);
   EXPECT_NE(result.stdout_text.find("deletions+substitutions"),
             std::string::npos);
+  // Registry names are the only solver handle; no family column.
+  EXPECT_EQ(result.stdout_text.find("family="), std::string::npos);
 }
 
 TEST(CliTest, RegistryNamesAreAcceptedByAlgorithmFlag) {
@@ -510,7 +513,7 @@ TEST(CliTest, StatsReportThePlannerDecision) {
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.stdout_text.find("solver="), std::string::npos)
       << result.stdout_text;
-  EXPECT_NE(result.stdout_text.find("planner="), std::string::npos)
+  EXPECT_NE(result.stdout_text.find("planned="), std::string::npos)
       << result.stdout_text;
   EXPECT_NE(result.stdout_text.find("d_hint="), std::string::npos)
       << result.stdout_text;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
+#include <string>
 
 #include "src/baseline/cubic.h"
+#include "src/cache/repair_cache.h"
 #include "src/core/dyck.h"
 #include "src/gen/workload.h"
 
@@ -91,9 +94,8 @@ TEST(DistanceApiTest, AllAlgorithmsAgree) {
     for (const Metric metric :
          {Metric::kDeletionsOnly, Metric::kDeletionsAndSubstitutions}) {
       const int64_t auto_d = *Distance(seq, {.metric = metric});
-      for (const Algorithm alg :
-           {Algorithm::kFpt, Algorithm::kCubic, Algorithm::kBranching}) {
-        EXPECT_EQ(*Distance(seq, {.metric = metric, .algorithm = alg}),
+      for (const char* solver : {"fpt", "cubic", "branching"}) {
+        EXPECT_EQ(*Distance(seq, {.metric = metric, .solver = solver}),
                   auto_d)
             << ToString(seq);
       }
@@ -144,9 +146,9 @@ TEST(RepairApiTest, BalancedInputKeepsEverySymbol) {
 
 TEST(RepairApiTest, RepairAgreesAcrossAlgorithms) {
   const ParenSeq seq = Parse("([)](");
-  const auto fpt = Repair(seq, {.algorithm = Algorithm::kFpt});
-  const auto cubic = Repair(seq, {.algorithm = Algorithm::kCubic});
-  const auto branching = Repair(seq, {.algorithm = Algorithm::kBranching});
+  const auto fpt = Repair(seq, {.solver = "fpt"});
+  const auto cubic = Repair(seq, {.solver = "cubic"});
+  const auto branching = Repair(seq, {.solver = "branching"});
   ASSERT_TRUE(fpt.ok());
   ASSERT_TRUE(cubic.ok());
   ASSERT_TRUE(branching.ok());
@@ -154,6 +156,28 @@ TEST(RepairApiTest, RepairAgreesAcrossAlgorithms) {
   EXPECT_EQ(fpt->distance, branching->distance);
   EXPECT_TRUE(IsBalanced(fpt->repaired));
   EXPECT_TRUE(IsBalanced(branching->repaired));
+}
+
+// A NaN factor compares false against every bound, so it must be refused
+// up front — before it can key a cache entry that never matches itself.
+TEST(RepairApiTest, NanApproximationFactorIsInvalidArgument) {
+  const ParenSeq seq = Parse("(()(");
+  cache::RepairCache cache(1 << 20);
+  Options options;
+  options.max_approximation_factor = std::nan("");
+  options.cache = &cache;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    const auto repair = Repair(seq, options);
+    ASSERT_FALSE(repair.ok());
+    EXPECT_TRUE(repair.status().IsInvalidArgument());
+    EXPECT_NE(repair.status().message().find("max_approximation_factor"),
+              std::string::npos)
+        << repair.status().message();
+  }
+  EXPECT_TRUE(Distance(seq, options).status().IsInvalidArgument());
+  const cache::RepairCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.misses, 0);
+  EXPECT_EQ(stats.entries, 0);
 }
 
 TEST(RepairApiTest, Dyck1FastPathConsistentWithRepair) {

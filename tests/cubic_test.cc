@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
+#include <string>
 
 #include "src/alphabet/parse.h"
 #include "src/baseline/cubic.h"
@@ -34,6 +36,12 @@ struct Case {
   int64_t edit1;
   int64_t edit2;
 };
+
+// Without a printer gtest dumps Case as raw bytes, and the std::string's heap
+// pointer in that dump made the discovered ctest names change on every build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "text=" << c.text << " edit1=" << c.edit1 << " edit2=" << c.edit2;
+}
 
 class CubicKnownCasesTest : public ::testing::TestWithParam<Case> {};
 

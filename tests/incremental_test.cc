@@ -117,7 +117,7 @@ TEST(IncrementalTest, ForcedFpt) {
        {Metric::kDeletionsOnly, Metric::kDeletionsAndSubstitutions}) {
     Options options;
     options.metric = metric;
-    options.algorithm = Algorithm::kFpt;
+    options.solver = "fpt";
     RunDifferentialTrace(256, options, 20 + static_cast<int>(metric), 8);
   }
 }
@@ -130,7 +130,7 @@ TEST(IncrementalTest, ForcedCubic) {
        {Metric::kDeletionsOnly, Metric::kDeletionsAndSubstitutions}) {
     Options options;
     options.metric = metric;
-    options.algorithm = Algorithm::kCubic;
+    options.solver = "cubic";
     RunDifferentialTrace(96, options, 30 + static_cast<int>(metric), 8);
   }
 }
@@ -141,7 +141,7 @@ TEST(IncrementalTest, ForcedApprox) {
   // materialized pipeline path for it.
   Options options;
   options.metric = Metric::kDeletionsOnly;
-  options.algorithm = Algorithm::kApprox;
+  options.solver = "approx";
   options.max_approximation_factor = 2.0;
   for (uint64_t seed = 40; seed < 43; ++seed) {
     RunDifferentialTrace(512, options, seed, 8);

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <optional>
 #include <random>
+#include <string_view>
 
 #include "src/core/dyck.h"
 #include "src/core/solver.h"
@@ -83,7 +84,7 @@ std::optional<int64_t> DistanceWith(const Solver* solver,
 // Branching is exponential in d, so its random inputs stay short enough
 // that d is small; everyone else gets the historical corpus sizes.
 int64_t MaxTrialLength(const Solver* solver, int64_t wanted) {
-  return solver->caps().family == Algorithm::kBranching
+  return std::string_view(solver->name()) == "branching"
              ? std::min<int64_t>(wanted, 14)
              : wanted;
 }
@@ -94,7 +95,7 @@ int64_t MaxTrialLength(const Solver* solver, int64_t wanted) {
 template <typename Fn>
 void ForEachExactSolver(Fn fn) {
   for (const Solver* solver : SolverRegistry::Global().solvers()) {
-    if (!solver->caps().exact) continue;
+    if (solver->caps().approximation_factor != 1.0) continue;
     if (solver->caps().deletions) fn(solver, false);
     if (solver->caps().substitutions) fn(solver, true);
   }
@@ -241,7 +242,10 @@ TEST(MetamorphicTest, DoublingAtMostDoubles) {
 TEST(MetamorphicTest, MetricSandwich) {
   for (const Solver* solver : SolverRegistry::Global().solvers()) {
     const SolverCaps& caps = solver->caps();
-    if (!caps.exact || !caps.deletions || !caps.substitutions) continue;
+    if (caps.approximation_factor != 1.0 || !caps.deletions ||
+        !caps.substitutions) {
+      continue;
+    }
     std::mt19937_64 rng(48);
     for (int trial = 0; trial < 60; ++trial) {
       const ParenSeq seq =
@@ -263,7 +267,7 @@ TEST(MetamorphicTest, MetricSandwich) {
 TEST(MetamorphicTest, ApproximateSolversAreSoundOnEveryAcceptedInput) {
   for (const Solver* solver : SolverRegistry::Global().solvers()) {
     const SolverCaps& caps = solver->caps();
-    if (caps.exact) continue;
+    if (caps.approximation_factor == 1.0) continue;
     for (const bool subs : {false, true}) {
       if (subs ? !caps.substitutions : !caps.deletions) continue;
       std::mt19937_64 rng(49);

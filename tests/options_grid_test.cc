@@ -29,12 +29,10 @@ TEST(OptionsGridTest, FullGridAgreesAndValidates) {
          {Metric::kDeletionsOnly, Metric::kDeletionsAndSubstitutions}) {
       const bool subs = metric == Metric::kDeletionsAndSubstitutions;
       const int64_t truth = CubicDistance(seq, subs);
-      for (const Algorithm algorithm :
-           {Algorithm::kAuto, Algorithm::kFpt, Algorithm::kCubic,
-            Algorithm::kBranching}) {
+      for (const char* solver : {"auto", "fpt", "cubic", "branching"}) {
         for (const RepairStyle style :
              {RepairStyle::kMinimalEdits, RepairStyle::kPreserveContent}) {
-          const Options options{metric, algorithm, style, -1};
+          const Options options{metric, solver, style, -1};
           const auto distance = Distance(seq, options);
           ASSERT_TRUE(distance.ok()) << distance.status();
           EXPECT_EQ(*distance, truth) << ToString(seq);
@@ -61,15 +59,13 @@ TEST(OptionsGridTest, FullGridAgreesAndValidates) {
 TEST(OptionsGridTest, MaxDistanceAcrossAlgorithms) {
   const ParenSeq seq =
       ParenAlphabet::Default().Parse("((((((((").value();  // edit1 = 8
-  for (const Algorithm algorithm :
-       {Algorithm::kFpt, Algorithm::kCubic, Algorithm::kBranching}) {
-    Options tight{Metric::kDeletionsOnly, algorithm,
-                  RepairStyle::kMinimalEdits, 3};
-    EXPECT_TRUE(Distance(seq, tight).status().IsBoundExceeded())
-        << static_cast<int>(algorithm);
+  for (const char* solver : {"fpt", "cubic", "branching"}) {
+    Options tight{Metric::kDeletionsOnly, solver, RepairStyle::kMinimalEdits,
+                  3};
+    EXPECT_TRUE(Distance(seq, tight).status().IsBoundExceeded()) << solver;
     EXPECT_TRUE(Repair(seq, tight).status().IsBoundExceeded());
-    Options loose{Metric::kDeletionsOnly, algorithm,
-                  RepairStyle::kMinimalEdits, 8};
+    Options loose{Metric::kDeletionsOnly, solver, RepairStyle::kMinimalEdits,
+                  8};
     EXPECT_EQ(*Distance(seq, loose), 8);
     EXPECT_EQ(Repair(seq, loose)->distance, 8);
   }
@@ -85,11 +81,9 @@ TEST(OptionsGridTest, MaxDistanceZeroAcceptsBalancedOnly) {
 }
 
 TEST(OptionsGridTest, EmptyInputEverywhere) {
-  for (const Algorithm algorithm :
-       {Algorithm::kAuto, Algorithm::kFpt, Algorithm::kCubic,
-        Algorithm::kBranching}) {
+  for (const char* solver : {"auto", "fpt", "cubic", "branching"}) {
     Options options;
-    options.algorithm = algorithm;
+    options.solver = solver;
     EXPECT_EQ(*Distance({}, options), 0);
     const auto repair = Repair({}, options);
     ASSERT_TRUE(repair.ok());

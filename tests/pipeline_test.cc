@@ -28,7 +28,7 @@ TEST(PipelineTelemetryTest, BalancedFastPathUnderAuto) {
   ASSERT_TRUE(result.ok());
   const RepairTelemetry& t = result->telemetry;
   EXPECT_TRUE(t.balanced_fast_path);
-  EXPECT_EQ(t.chosen_algorithm, Algorithm::kAuto);
+  EXPECT_EQ(t.solver_name, "");
   EXPECT_EQ(t.doubling_iterations, 0);
   EXPECT_EQ(t.solve_bound, -1);
   EXPECT_EQ(t.input_length, 6);
@@ -44,7 +44,7 @@ TEST(PipelineTelemetryTest, AutoResolvesToFptOnUnbalancedInput) {
   ASSERT_TRUE(result.ok());
   const RepairTelemetry& t = result->telemetry;
   EXPECT_FALSE(t.balanced_fast_path);
-  EXPECT_EQ(t.chosen_algorithm, Algorithm::kFpt);
+  EXPECT_EQ(t.solver_name, "fpt-substitution");
   EXPECT_EQ(t.input_length, 4);
   // "(()(" strips its matched pair: two symbols survive Property 19.
   EXPECT_EQ(t.reduced_length, 2);
@@ -55,23 +55,23 @@ TEST(PipelineTelemetryTest, AutoResolvesToFptOnUnbalancedInput) {
 
 TEST(PipelineTelemetryTest, ExplicitFptOnBalancedInputRunsTheSolver) {
   Options options;
-  options.algorithm = Algorithm::kFpt;
+  options.solver = "fpt";
   const auto result = Repair(Parse("(())"), options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->distance, 0);
   EXPECT_FALSE(result->telemetry.balanced_fast_path);
-  EXPECT_EQ(result->telemetry.chosen_algorithm, Algorithm::kFpt);
+  EXPECT_EQ(result->telemetry.solver_name, "fpt");
   EXPECT_EQ(result->telemetry.doubling_iterations, 1);
   EXPECT_EQ(result->telemetry.reduced_length, 0);
 }
 
 TEST(PipelineTelemetryTest, CubicSkipsReductionAndDoubling) {
   Options options;
-  options.algorithm = Algorithm::kCubic;
+  options.solver = "cubic";
   const auto result = Repair(Parse("(()("), options);
   ASSERT_TRUE(result.ok());
   const RepairTelemetry& t = result->telemetry;
-  EXPECT_EQ(t.chosen_algorithm, Algorithm::kCubic);
+  EXPECT_EQ(t.solver_name, "cubic");
   EXPECT_EQ(t.doubling_iterations, 0);
   EXPECT_EQ(t.solve_bound, -1);
   EXPECT_EQ(t.reduced_length, -1);  // reduction skipped, not "empty"
@@ -80,12 +80,12 @@ TEST(PipelineTelemetryTest, CubicSkipsReductionAndDoubling) {
 
 TEST(PipelineTelemetryTest, BranchingUsesTheDoublingDriver) {
   Options options;
-  options.algorithm = Algorithm::kBranching;
+  options.solver = "branching";
   options.metric = Metric::kDeletionsOnly;
   const auto result = Repair(Parse("(((("), options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->distance, 4);
-  EXPECT_EQ(result->telemetry.chosen_algorithm, Algorithm::kBranching);
+  EXPECT_EQ(result->telemetry.solver_name, "branching");
   EXPECT_EQ(result->telemetry.doubling_iterations, 3);  // d = 1, 2, 4
   EXPECT_EQ(result->telemetry.solve_bound, 4);
 }
@@ -119,7 +119,7 @@ TEST(PipelineTelemetryTest, StageSecondsPartitionTotal) {
   EXPECT_DOUBLE_EQ(result->telemetry.TotalSeconds(), sum);
   EXPECT_GT(sum, 0.0);
   const std::string rendered = result->telemetry.ToString();
-  EXPECT_NE(rendered.find("algorithm=fpt"), std::string::npos);
+  EXPECT_NE(rendered.find("solver=fpt-substitution"), std::string::npos);
   EXPECT_NE(rendered.find("copies=0"), std::string::npos);
 }
 
@@ -133,17 +133,15 @@ TEST(PipelineTelemetryTest, ZeroInterStageCopiesAcrossAllPaths) {
   for (const char* input : inputs) {
     for (const Metric metric :
          {Metric::kDeletionsOnly, Metric::kDeletionsAndSubstitutions}) {
-      for (const Algorithm algorithm :
-           {Algorithm::kAuto, Algorithm::kFpt, Algorithm::kCubic,
-            Algorithm::kBranching}) {
+      for (const char* solver : {"auto", "fpt", "cubic", "branching"}) {
         Options options;
         options.metric = metric;
-        options.algorithm = algorithm;
+        options.solver = solver;
         const auto result = Repair(Parse(input), options);
         ASSERT_TRUE(result.ok()) << input;
         EXPECT_EQ(result->telemetry.seq_copies, 0)
             << input << " metric=" << static_cast<int>(metric)
-            << " algorithm=" << static_cast<int>(algorithm);
+            << " solver=" << solver;
         EXPECT_LE(result->telemetry.seq_allocations, 2);
         EXPECT_TRUE(IsBalanced(result->repaired)) << input;
       }
@@ -220,7 +218,7 @@ TEST(PipelineTelemetryTest, MaxDistanceUnderSubstitutionMetric) {
 TEST(PipelineTelemetryTest, MaxDistanceAppliesToBranchingDriver) {
   Options options;
   options.metric = Metric::kDeletionsOnly;
-  options.algorithm = Algorithm::kBranching;
+  options.solver = "branching";
   options.max_distance = 7;
   auto result = Repair(Parse(kEightOpens), options);
   ASSERT_FALSE(result.ok());
@@ -235,7 +233,7 @@ TEST(PipelineTelemetryTest, MaxDistanceAppliesToBranchingDriver) {
 TEST(PipelineTelemetryTest, MaxDistanceAppliesToCubicPostHoc) {
   Options options;
   options.metric = Metric::kDeletionsOnly;
-  options.algorithm = Algorithm::kCubic;
+  options.solver = "cubic";
   options.max_distance = 7;
   auto result = Repair(Parse(kEightOpens), options);
   ASSERT_FALSE(result.ok());
@@ -286,19 +284,18 @@ TEST(TelemetryAggregateTest, AddAndMergeSumFields) {
   fpt.input_length = 100;
   fpt.reduced_length = 10;
   fpt.subproblems = 42;
-  fpt.chosen_algorithm = Algorithm::kFpt;
+  fpt.solver_name = "fpt-deletion";
   fpt.seq_allocations = 2;
 
   RepairTelemetry trivial;
   trivial.stage_seconds[static_cast<int>(PipelineStage::kNormalize)] = 0.25;
   trivial.input_length = 50;
   trivial.reduced_length = 0;
-  trivial.chosen_algorithm = Algorithm::kAuto;
   trivial.balanced_fast_path = true;
   trivial.seq_allocations = 1;
 
   RepairTelemetry cubic;
-  cubic.chosen_algorithm = Algorithm::kCubic;
+  cubic.solver_name = "cubic";
   cubic.input_length = 30;
   cubic.reduced_length = -1;  // reduction skipped: excluded from ratios
 
@@ -309,8 +306,8 @@ TEST(TelemetryAggregateTest, AddAndMergeSumFields) {
   EXPECT_EQ(agg.doubling_iterations, 3);
   EXPECT_EQ(agg.subproblems, 42);
   EXPECT_EQ(agg.seq_allocations, 3);
-  EXPECT_EQ(agg.algorithm_counts[static_cast<int>(Algorithm::kAuto)], 1);
-  EXPECT_EQ(agg.algorithm_counts[static_cast<int>(Algorithm::kFpt)], 1);
+  EXPECT_EQ(agg.solver_documents.size(), 1u);
+  EXPECT_EQ(agg.solver_documents["fpt-deletion"], 1);
   EXPECT_EQ(agg.reduced_length_total, 10);
   EXPECT_EQ(agg.reduced_input_total, 150);
   EXPECT_DOUBLE_EQ(agg.TotalSeconds(), 0.75);
@@ -319,14 +316,15 @@ TEST(TelemetryAggregateTest, AddAndMergeSumFields) {
   other.Add(cubic);
   agg.Merge(other);
   EXPECT_EQ(agg.documents, 3);
-  EXPECT_EQ(agg.algorithm_counts[static_cast<int>(Algorithm::kCubic)], 1);
+  EXPECT_EQ(agg.solver_documents["cubic"], 1);
   // cubic skipped reduction, so the ratio denominators are unchanged.
   EXPECT_EQ(agg.reduced_input_total, 150);
 
   const std::string rendered = agg.ToString();
   EXPECT_NE(rendered.find("docs=3"), std::string::npos);
   EXPECT_NE(rendered.find("trivial=1"), std::string::npos);
-  EXPECT_NE(rendered.find("fpt=1"), std::string::npos);
+  EXPECT_NE(rendered.find("solvers=cubic:1,fpt-deletion:1"),
+            std::string::npos);
 }
 
 }  // namespace

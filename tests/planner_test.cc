@@ -73,9 +73,8 @@ TEST(PlannerTest, AutoIsByteIdenticalToItsForcedChoice) {
       const auto auto_result = Repair(seq, auto_options);
       ASSERT_TRUE(auto_result.ok());
       if (auto_result->telemetry.balanced_fast_path) continue;
-      const std::string& choice = auto_result->telemetry.planner_choice;
+      const std::string& choice = auto_result->telemetry.solver_name;
       ASSERT_FALSE(choice.empty());
-      EXPECT_EQ(choice, auto_result->telemetry.solver_name);
 
       Options forced = auto_options;
       forced.solver = choice;
@@ -99,11 +98,18 @@ TEST(PlannerTest, TelemetryRecordsTheDecision) {
   const auto result = Repair(Parse("(()("), {});
   ASSERT_TRUE(result.ok());
   const RepairTelemetry& t = result->telemetry;
-  EXPECT_FALSE(t.planner_choice.empty());
-  EXPECT_EQ(t.planner_choice, t.solver_name);
+  EXPECT_FALSE(t.solver_name.empty());
   EXPECT_GE(t.planned_cost, 0.0);
   // The greedy scan is an upper bound on the exact distance.
   EXPECT_GE(t.d_upper_bound, result->distance);
+
+  // Forcing the same solver by name skips the planner, which shows as
+  // d_upper_bound == -1.
+  const auto forced = Repair(Parse("(()("), {.solver = t.solver_name});
+  ASSERT_TRUE(forced.ok());
+  EXPECT_EQ(forced->telemetry.solver_name, t.solver_name);
+  EXPECT_EQ(forced->telemetry.d_upper_bound, -1);
+  EXPECT_EQ(forced->telemetry.planned_cost, -1);
 }
 
 // The original kAuto bug: "unbalanced -> FPT" unconditionally, even on
@@ -123,20 +129,19 @@ TEST(PlannerTest, CrossoverRegressionShortHighDistanceGoesCubic) {
   options.metric = Metric::kDeletionsOnly;
   const auto auto_result = Repair(seq, options);
   ASSERT_TRUE(auto_result.ok());
-  EXPECT_EQ(auto_result->telemetry.planner_choice, "cubic");
-  EXPECT_EQ(auto_result->telemetry.chosen_algorithm, Algorithm::kCubic);
+  EXPECT_EQ(auto_result->telemetry.solver_name, "cubic");
 
   // Warm both paths once, then compare one timed run each. The measured
   // gap on this shape is >5x, so a plain comparison is stable.
   Options fpt = options;
-  fpt.algorithm = Algorithm::kFpt;
+  fpt.solver = "fpt";
   const double auto_seconds = RepairSeconds(seq, options);
   const double fpt_seconds = RepairSeconds(seq, fpt);
   EXPECT_LT(auto_seconds, fpt_seconds);
 
   const auto forced_cubic_distance = [&] {
     Options cubic = options;
-    cubic.algorithm = Algorithm::kCubic;
+    cubic.solver = "cubic";
     return Repair(seq, cubic);
   }();
   ASSERT_TRUE(forced_cubic_distance.ok());
@@ -148,7 +153,7 @@ TEST(PlannerTest, CrossoverRegressionShortHighDistanceGoesCubic) {
 TEST(PlannerTest, TinyInputsKeepTheFptDefault) {
   const auto result = Repair(Parse("(()("), {});
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->telemetry.chosen_algorithm, Algorithm::kFpt);
+  EXPECT_EQ(result->telemetry.solver_name, "fpt-substitution");
 }
 
 // EstimateDistanceUpperBound is the counting twin of GreedyRepair; the two
@@ -214,7 +219,7 @@ TEST(PlannerTest, BandedMatchesCubicOnSinglePeakInputs) {
 
     Options cubic;
     cubic.metric = Metric::kDeletionsOnly;
-    cubic.algorithm = Algorithm::kCubic;
+    cubic.solver = "cubic";
     const auto cubic_result = Repair(seq, cubic);
     ASSERT_TRUE(cubic_result.ok());
 
@@ -232,8 +237,7 @@ TEST(PlannerTest, AutoPicksBandedOnLargeSinglePeak) {
   options.metric = Metric::kDeletionsOnly;
   const auto result = Repair(seq, options);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->telemetry.planner_choice, "banded");
-  EXPECT_EQ(result->telemetry.chosen_algorithm, Algorithm::kBanded);
+  EXPECT_EQ(result->telemetry.solver_name, "banded");
   EXPECT_EQ(result->distance, 60);
 }
 
@@ -255,8 +259,8 @@ TEST(PlannerTest, UnitFactorIsByteIdenticalToExactSelection) {
         gated.max_approximation_factor = factor;
         const auto result = Repair(seq, gated);
         ASSERT_TRUE(result.ok());
-        EXPECT_EQ(result->telemetry.planner_choice,
-                  base->telemetry.planner_choice);
+        EXPECT_EQ(result->telemetry.solver_name,
+                  base->telemetry.solver_name);
         EXPECT_EQ(result->distance, base->distance);
         EXPECT_EQ(result->script.ToString(), base->script.ToString());
         EXPECT_EQ(result->telemetry.certified_factor, 1.0);
@@ -288,8 +292,7 @@ TEST(PlannerTest, LadderPicksApproxOnLargeHighDistanceInputs) {
   approx_options.max_approximation_factor = 2.0;
   const auto result = Repair(seq, approx_options);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->telemetry.planner_choice, "approx");
-  EXPECT_EQ(result->telemetry.chosen_algorithm, Algorithm::kApprox);
+  EXPECT_EQ(result->telemetry.solver_name, "approx");
   EXPECT_GE(result->distance, exact->distance);
   EXPECT_LE(result->distance, 2 * exact->distance);
   EXPECT_GE(result->telemetry.certified_factor, 1.0);
@@ -317,7 +320,7 @@ TEST(PlannerTest, CertifiedGreedyWinsWhereItsCertificateIsTight) {
   options.max_approximation_factor = 3.0;
   const auto result = Repair(seq, options);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->telemetry.planner_choice, "approx-greedy");
+  EXPECT_EQ(result->telemetry.solver_name, "approx-greedy");
   EXPECT_EQ(result->distance, 4096);  // every opener must go
   // U == L collapses the certificate: the answer is provably optimal.
   EXPECT_EQ(result->telemetry.certified_factor, 1.0);

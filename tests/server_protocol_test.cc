@@ -354,18 +354,18 @@ TEST(ServerShedTest, AdmissionLadderTiersByDepth) {
 TEST(ServerShedTest, ApplyTierWalksDegradeLadder) {
   Options exact;
   AdmissionController::ApplyTier(PressureTier::kExact, &exact);
-  EXPECT_EQ(exact.algorithm, Algorithm::kAuto);
+  EXPECT_EQ(exact.solver, "");
   EXPECT_EQ(exact.max_approximation_factor, 1.0);
 
   Options approx;
   AdmissionController::ApplyTier(PressureTier::kApproximate, &approx);
-  EXPECT_EQ(approx.algorithm, Algorithm::kAuto);
+  EXPECT_EQ(approx.solver, "");
   EXPECT_EQ(approx.max_approximation_factor, 3.0);
   EXPECT_EQ(approx.on_budget_exceeded, DegradePolicy::kApproximate);
 
   Options greedy;
   AdmissionController::ApplyTier(PressureTier::kGreedy, &greedy);
-  EXPECT_EQ(greedy.algorithm, Algorithm::kGreedy);
+  EXPECT_EQ(greedy.solver, "greedy");
 }
 
 // ---------------------------------------------------------------------------
@@ -497,6 +497,29 @@ TEST(ServerProtocolTest, PerRequestBudgetMapsToTypedError) {
   const ServerStats stats = server.server().Stats();
   EXPECT_EQ(stats.faulted, 1);
   EXPECT_EQ(stats.served_ok, 1);
+}
+
+// strtod accepts "nan", and a NaN factor compares false against every
+// bound: it must be refused at the wire, before it keys a cache lookup.
+TEST(ServerProtocolTest, NanFactorIsInvalidArgument) {
+  ServerOptions options = SmallServer();
+  options.cache_bytes = 1 << 20;
+  TestServer server(options);
+  for (int id = 1; id <= 3; ++id) {
+    server.Feed("dyckfix/1 " + std::to_string(id) +
+                " repair factor=nan len=4\n(()(\n");
+  }
+  const std::vector<Response> responses = server.DrainResponses();
+  ASSERT_EQ(responses.size(), 3u);
+  for (const Response& response : responses) {
+    EXPECT_EQ(response.status, "err");
+    EXPECT_EQ(response.fields.at("code"), "InvalidArgument");
+    EXPECT_NE(response.msg.find("factor"), std::string::npos)
+        << response.msg;
+  }
+  const ServerStats stats = server.server().Stats();
+  EXPECT_EQ(stats.protocol_errors, 3);
+  EXPECT_EQ(stats.cache_misses, 0);
 }
 
 TEST(ServerShedTest, SaturatedQueueShedsWithRetryAfter) {

@@ -1,5 +1,5 @@
-// The SolverRegistry (src/core/solver.h): built-in population, forced
-// lookup, capability metadata, cost-model monotonicity, and the
+// The SolverRegistry (src/core/solver.h): built-in population, name
+// resolution, capability metadata, cost-model monotonicity, and the
 // unsupported-metric error contract.
 
 #include <gtest/gtest.h>
@@ -25,25 +25,11 @@ TEST(SolverRegistryTest, BuiltInSolversAreRegistered) {
   EXPECT_EQ(registry.Find("no-such-solver"), nullptr);
 }
 
-TEST(SolverRegistryTest, ForAlgorithmMapsEveryForcedEnumerator) {
-  SolverRegistry& registry = SolverRegistry::Global();
-  for (const Algorithm algorithm :
-       {Algorithm::kFpt, Algorithm::kCubic, Algorithm::kBranching,
-        Algorithm::kBanded, Algorithm::kGreedy, Algorithm::kApprox}) {
-    const Solver* solver = registry.ForAlgorithm(algorithm);
-    ASSERT_NE(solver, nullptr) << AlgorithmName(algorithm);
-    EXPECT_STREQ(solver->name(), AlgorithmName(algorithm));
-    EXPECT_EQ(solver->caps().family, algorithm);
-  }
-  EXPECT_EQ(registry.ForAlgorithm(Algorithm::kAuto), nullptr);
-}
-
 TEST(SolverRegistryTest, CapabilityMetadataMatchesTheFamilies) {
   SolverRegistry& registry = SolverRegistry::Global();
 
   const Solver* greedy = registry.Find("greedy");
   ASSERT_NE(greedy, nullptr);
-  EXPECT_FALSE(greedy->caps().exact);
   EXPECT_FALSE(greedy->caps().planner_candidate);
 
   const Solver* banded = registry.Find("banded");
@@ -51,14 +37,13 @@ TEST(SolverRegistryTest, CapabilityMetadataMatchesTheFamilies) {
   EXPECT_TRUE(banded->caps().deletions);
   EXPECT_FALSE(banded->caps().substitutions);
   EXPECT_TRUE(banded->caps().needs_reduced);
-  EXPECT_TRUE(banded->caps().exact);
+  EXPECT_EQ(banded->caps().approximation_factor, 1.0);
 
   const Solver* del = registry.Find("fpt-deletion");
   ASSERT_NE(del, nullptr);
   EXPECT_TRUE(del->caps().deletions);
   EXPECT_FALSE(del->caps().substitutions);
   EXPECT_TRUE(del->caps().planner_candidate);
-  EXPECT_EQ(del->caps().family, Algorithm::kFpt);
 
   const Solver* sub = registry.Find("fpt-substitution");
   ASSERT_NE(sub, nullptr);
@@ -71,22 +56,65 @@ TEST(SolverRegistryTest, CapabilityMetadataMatchesTheFamilies) {
   EXPECT_FALSE(registry.Find("branching")->caps().planner_candidate);
   EXPECT_TRUE(registry.Find("cubic")->caps().planner_candidate);
 
-  // Every solver of a family shares its telemetry bucket.
+  // Every registered factor is a usable bound (>= 1.0, possibly infinite).
   for (const Solver* solver : registry.solvers()) {
-    EXPECT_NE(solver->caps().family, Algorithm::kAuto) << solver->name();
+    EXPECT_GE(solver->caps().approximation_factor, 1.0) << solver->name();
   }
 }
 
-// `exact` and `approximation_factor` are two views of one capability: a
-// solver is exact iff its certified factor is exactly 1.0, and every
-// registered factor must be a usable bound (>= 1.0, possibly infinite).
-TEST(SolverRegistryTest, ApproximationFactorAgreesWithExactness) {
+// The planner's small-cost floor takes the first admissible candidate in
+// registration order; for each metric that must be the paper's solver.
+TEST(SolverRegistryTest, FptRegistersFirstForEachMetric) {
+  for (const bool subs : {false, true}) {
+    const Solver* first = nullptr;
+    for (const Solver* solver : SolverRegistry::Global().solvers()) {
+      const SolverCaps& caps = solver->caps();
+      if (caps.planner_candidate &&
+          (subs ? caps.substitutions : caps.deletions)) {
+        first = solver;
+        break;
+      }
+    }
+    ASSERT_NE(first, nullptr);
+    EXPECT_STREQ(first->name(), subs ? "fpt-substitution" : "fpt-deletion");
+  }
+}
+
+// "" and "auto" both leave the choice to the planner; every other name
+// must be registered and support the metric; a NaN factor is refused.
+TEST(SolverRegistryTest, ResolveSolverMapsNamesToRegistryEntries) {
+  for (const char* planner : {"", "auto"}) {
+    const auto resolved = ResolveSolver({.solver = planner});
+    ASSERT_TRUE(resolved.ok()) << planner;
+    EXPECT_EQ(*resolved, nullptr) << planner;
+  }
   for (const Solver* solver : SolverRegistry::Global().solvers()) {
     const SolverCaps& caps = solver->caps();
-    EXPECT_GE(caps.approximation_factor, 1.0) << solver->name();
-    EXPECT_EQ(caps.exact, caps.approximation_factor == 1.0)
-        << solver->name();
+    const Metric metric = caps.deletions ? Metric::kDeletionsOnly
+                                         : Metric::kDeletionsAndSubstitutions;
+    const auto resolved =
+        ResolveSolver({.metric = metric, .solver = solver->name()});
+    ASSERT_TRUE(resolved.ok()) << solver->name();
+    EXPECT_EQ(*resolved, solver);
   }
+
+  const auto unknown = ResolveSolver({.solver = "quantum"});
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_TRUE(unknown.status().IsInvalidArgument());
+  EXPECT_EQ(unknown.status().message(), "unknown solver 'quantum'");
+
+  const auto metric = ResolveSolver(
+      {.metric = Metric::kDeletionsAndSubstitutions, .solver = "banded"});
+  ASSERT_FALSE(metric.ok());
+  EXPECT_TRUE(metric.status().IsInvalidArgument());
+
+  Options nan_factor;
+  nan_factor.max_approximation_factor = std::nan("");
+  const auto nan = ResolveSolver(nan_factor);
+  ASSERT_FALSE(nan.ok());
+  EXPECT_TRUE(nan.status().IsInvalidArgument());
+  EXPECT_NE(nan.status().message().find("max_approximation_factor"),
+            std::string::npos);
 }
 
 TEST(SolverRegistryTest, ApproxLadderCapsMatchTheDesign) {
@@ -94,19 +122,15 @@ TEST(SolverRegistryTest, ApproxLadderCapsMatchTheDesign) {
 
   const Solver* approx = registry.Find("approx");
   ASSERT_NE(approx, nullptr);
-  EXPECT_FALSE(approx->caps().exact);
   EXPECT_EQ(approx->caps().approximation_factor, 2.0);
   EXPECT_TRUE(approx->caps().planner_candidate);
   EXPECT_TRUE(approx->caps().deletions);
   EXPECT_TRUE(approx->caps().substitutions);
-  EXPECT_EQ(approx->caps().family, Algorithm::kApprox);
 
   const Solver* certified = registry.Find("approx-greedy");
   ASSERT_NE(certified, nullptr);
-  EXPECT_FALSE(certified->caps().exact);
   EXPECT_EQ(certified->caps().approximation_factor, 3.0);
   EXPECT_TRUE(certified->caps().planner_candidate);
-  EXPECT_EQ(certified->caps().family, Algorithm::kApprox);
 
   // Greedy stays the uncertified floor of the ladder.
   EXPECT_TRUE(std::isinf(registry.Find("greedy")->caps().approximation_factor));
@@ -183,6 +207,8 @@ TEST(SolverRegistryTest, RegisterRejectsDuplicatesAndEmptyNames) {
             std::string::npos);
   EXPECT_TRUE(
       registry.Register(std::make_unique<FakeSolver>("")).IsInvalidArgument());
+  EXPECT_TRUE(registry.Register(std::make_unique<FakeSolver>("auto"))
+                  .IsInvalidArgument());
   EXPECT_TRUE(registry.Register(nullptr).IsInvalidArgument());
   EXPECT_EQ(registry.solvers().size(), 1u);
 }

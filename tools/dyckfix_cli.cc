@@ -8,11 +8,8 @@
 //   --format=auto|parens|json|xml|latex|source   input interpretation
 //   --metric=substitutions|deletions             allowed edits
 //   --algorithm=NAME                             solver selection: auto
-//                                                (cost-model planner), a
-//                                                family (fpt|cubic|
-//                                                branching|banded|greedy|
-//                                                approx), or any registry
-//                                                name from
+//                                                (cost-model planner) or
+//                                                any registry name from
 //                                                --list-algorithms
 //   --max-approx=F                               let the planner trade
 //                                                accuracy for speed: admit
@@ -171,7 +168,7 @@ int ListAlgorithms() {
     // ("<=2.0x" means reported <= 2 * optimal, proven per document), or
     // heuristic (no guarantee at all — greedy).
     char kind[16];
-    if (caps.exact) {
+    if (caps.approximation_factor == 1.0) {
       std::snprintf(kind, sizeof(kind), "exact");
     } else if (std::isfinite(caps.approximation_factor)) {
       std::snprintf(kind, sizeof(kind), "<=%.1fx",
@@ -179,8 +176,7 @@ int ListAlgorithms() {
     } else {
       std::snprintf(kind, sizeof(kind), "heuristic");
     }
-    std::printf("%-18s %-26s %-12s family=%s%s\n", solver->name(),
-                metrics, kind, dyck::AlgorithmName(caps.family),
+    std::printf("%-18s %-26s %-12s%s\n", solver->name(), metrics, kind,
                 caps.needs_reduced ? " (reduced input)" : "");
   }
   return 0;
@@ -226,29 +222,8 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
         return BadFlagValue("--metric", v, "substitutions|deletions");
       }
     } else if (StartsWith(arg, "--algorithm=")) {
-      const std::string v = arg.substr(12);
-      if (v == "auto") {
-        opts->repair.algorithm = dyck::Algorithm::kAuto;
-      } else if (v == "fpt") {
-        opts->repair.algorithm = dyck::Algorithm::kFpt;
-      } else if (v == "cubic") {
-        opts->repair.algorithm = dyck::Algorithm::kCubic;
-      } else if (v == "branching") {
-        opts->repair.algorithm = dyck::Algorithm::kBranching;
-      } else if (v == "banded") {
-        opts->repair.algorithm = dyck::Algorithm::kBanded;
-      } else if (v == "greedy") {
-        opts->repair.algorithm = dyck::Algorithm::kGreedy;
-      } else if (v == "approx") {
-        opts->repair.algorithm = dyck::Algorithm::kApprox;
-      } else if (dyck::SolverRegistry::Global().Find(v) != nullptr) {
-        // A solver registry name ("fpt-deletion", ...), forced directly.
-        opts->repair.solver = v;
-      } else {
-        return BadFlagValue("--algorithm", v,
-                            "auto|fpt|cubic|branching|banded|greedy|approx"
-                            " or a name from --list-algorithms");
-      }
+      // Passed through; main() validates it once the metric is known.
+      opts->repair.solver = arg.substr(12);
     } else if (arg == "--list-algorithms") {
       opts->list_algorithms = true;
     } else if (StartsWith(arg, "--max-distance=")) {
@@ -755,6 +730,13 @@ int main(int argc, char** argv) {
   CliOptions opts;
   if (!ParseArgs(argc, argv, &opts)) return Usage();
   if (opts.list_algorithms) return ListAlgorithms();
+  // The resolver Repair itself runs, applied up front: a balanced input
+  // never reaches Repair, and a bad name should fail every mode alike.
+  if (const auto solver = dyck::ResolveSolver(opts.repair); !solver.ok()) {
+    std::fprintf(stderr, "dyckfix: %s (see --list-algorithms)\n",
+                 solver.status().message().c_str());
+    return 2;
+  }
   if (!opts.batch.empty() && !opts.replay.empty()) return Usage();
   if (!opts.replay.empty()) {
     if (!opts.path.empty()) return Usage();  // the trace IS the input
