@@ -22,8 +22,9 @@ void Show(const std::string& title, const std::string& text,
   const auto repair = dyck::Repair(seq, {}).value();
   std::printf("  distance to Dyck = %lld; aligned pairs drawn as '*'\n",
               static_cast<long long>(repair.distance));
-  std::printf("%s\n",
-              dyck::RenderProfile(seq, repair.script.aligned_pairs).c_str());
+  std::printf(
+      "%s\n",
+      dyck::RenderProfile(seq, dyck::AlignedPairs(seq, repair.script)).c_str());
 }
 
 }  // namespace

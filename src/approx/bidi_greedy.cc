@@ -11,14 +11,11 @@ namespace {
 
 // Maps a script against mirror(seq) back to seq: index i of the mirror is
 // index n-1-i of the original, and every symbol flips direction, so a
-// substitution's replacement flips too. Aligned (open, close) pairs swap
-// endpoints to stay (earlier, later).
+// substitution's replacement flips too.
 void MapMirrorScript(int64_t n, const EditScript& mirrored,
                      EditScript* out) {
   out->ops.clear();
-  out->aligned_pairs.clear();
   out->ops.reserve(mirrored.ops.size());
-  out->aligned_pairs.reserve(mirrored.aligned_pairs.size());
   for (const EditOp& op : mirrored.ops) {
     EditOp mapped = op;
     mapped.pos = n - 1 - op.pos;
@@ -27,9 +24,6 @@ void MapMirrorScript(int64_t n, const EditScript& mirrored,
           Paren{op.replacement.type, !op.replacement.is_open};
     }
     out->ops.push_back(mapped);
-  }
-  for (const auto& [open, close] : mirrored.aligned_pairs) {
-    out->aligned_pairs.emplace_back(n - 1 - close, n - 1 - open);
   }
   out->Normalize();
 }

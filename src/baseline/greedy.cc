@@ -51,7 +51,6 @@ bool KernelReversed(const ReversedFlippedView&) { return true; }
 //   DeleteTop(entry)      pop a (possibly flipped) stack entry for cost 1,
 //                         folding into the entry's own substitution op
 //   DeleteCloser(pos)     drop the current closing symbol
-//   MatchPair(open, close) zero-cost alignment
 //   FlipOpener(pos, type) substitute a closer into an opener; returns the
 //                         op handle stored in the new stack entry
 //   RetypeCloser(top, pos) substitute the closer to match the top
@@ -70,8 +69,7 @@ void GreedyScan(const Seq& seq, bool allow_substitutions,
   // The conflict-free portion of the scan (push opens, pop matching
   // closes) runs through the vector kernel when profitable, leaving only
   // actual conflicts to the rule engine below. GreedyAdvance replicates
-  // the fast path exactly — including the (top.pos, i) pair stream the
-  // script policy records — so kernel on/off changes timing only.
+  // the fast path exactly, so kernel on/off changes timing only.
   const auto n = static_cast<int64_t>(seq.size());
   const Paren* const data = KernelData(seq);
   const bool reversed = KernelReversed(seq);
@@ -79,7 +77,7 @@ void GreedyScan(const Seq& seq, bool allow_substitutions,
 
   for (int64_t i = 0; i < n; ++i) {
     if (use_kernel) {
-      i = simd::GreedyAdvance(data, n, i, reversed, &stack, policy.PairSink());
+      i = simd::GreedyAdvance(data, n, i, reversed, &stack);
       if (i >= n) break;
     } else {
       const Paren cur = seq[i];
@@ -88,7 +86,6 @@ void GreedyScan(const Seq& seq, bool allow_substitutions,
         continue;
       }
       if (!stack.empty() && stack.back().type == cur.type) {
-        policy.MatchPair(stack.back().pos, i);
         stack.pop_back();
         continue;
       }
@@ -119,7 +116,6 @@ void GreedyScan(const Seq& seq, bool allow_substitutions,
     }
     if (match_depth >= 2) {
       for (size_t k = 1; k < match_depth; ++k) delete_top();
-      policy.MatchPair(stack.back().pos, i);
       stack.pop_back();
       continue;
     }
@@ -186,16 +182,6 @@ class ScriptPolicy {
     result_->script.ops.push_back({EditOpKind::kDelete, pos, Paren{}});
   }
 
-  void MatchPair(int64_t open_pos, int64_t close_pos) {
-    result_->script.aligned_pairs.emplace_back(open_pos, close_pos);
-  }
-
-  // Where GreedyAdvance streams the fast path's zero-cost pairs — the
-  // same vector MatchPair appends to.
-  std::vector<std::pair<int64_t, int64_t>>* PairSink() {
-    return &result_->script.aligned_pairs;
-  }
-
   int32_t FlipOpener(int64_t pos, ParenType type) {
     std::vector<EditOp>& ops = result_->script.ops;
     const int32_t op_index = static_cast<int32_t>(ops.size());
@@ -206,7 +192,6 @@ class ScriptPolicy {
   void RetypeCloser(const GreedyEntry& top, int64_t pos) {
     result_->script.ops.push_back(
         {EditOpKind::kSubstitute, pos, Paren::Close(top.type)});
-    result_->script.aligned_pairs.emplace_back(top.pos, pos);
   }
 
   void PairLeftovers(const GreedyEntry& first, const GreedyEntry& second) {
@@ -224,7 +209,6 @@ class ScriptPolicy {
     } else {
       ops.push_back({EditOpKind::kSubstitute, second.pos, close});
     }
-    result_->script.aligned_pairs.emplace_back(first.pos, second.pos);
   }
 
   void DeleteLeftover(const GreedyEntry& e) {
@@ -264,9 +248,6 @@ class CountPolicy {
     if (top.op_index < 0) ++count_;
   }
   void DeleteCloser(int64_t) { ++count_; }
-  void MatchPair(int64_t, int64_t) {}
-  // Zero-cost pairs don't affect the count; the kernel skips recording.
-  std::vector<std::pair<int64_t, int64_t>>* PairSink() { return nullptr; }
   int32_t FlipOpener(int64_t, ParenType) {
     ++count_;
     return 0;  // "has an op" flag; the index itself is never dereferenced

@@ -18,11 +18,7 @@ int64_t SequenceInterner::EntryBytes(const Entry& entry) {
   return kOverhead +
          static_cast<int64_t>(entry.key_seq.capacity() * sizeof(Paren)) +
          static_cast<int64_t>(s.residual.capacity() * sizeof(Paren)) +
-         static_cast<int64_t>(s.residual_pos.capacity() * sizeof(int64_t)) +
-         static_cast<int64_t>(s.pairs_by_close.capacity() *
-                              sizeof(std::pair<int64_t, int64_t>)) +
-         static_cast<int64_t>(s.pairs_by_open.capacity() *
-                              sizeof(std::pair<int64_t, int64_t>));
+         static_cast<int64_t>(s.residual_pos.capacity() * sizeof(int64_t));
 }
 
 void SequenceInterner::RaiseBudget(int64_t min_byte_budget) {

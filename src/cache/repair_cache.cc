@@ -96,8 +96,6 @@ int64_t RepairCache::EntryBytes(const Entry& entry) {
   return kOverhead +
          static_cast<int64_t>(entry.key_seq.capacity() * sizeof(Paren)) +
          static_cast<int64_t>(entry.script.ops.capacity() * sizeof(EditOp)) +
-         static_cast<int64_t>(entry.script.aligned_pairs.capacity() *
-                              sizeof(std::pair<int64_t, int64_t>)) +
          static_cast<int64_t>(entry.repaired.capacity() * sizeof(Paren)) +
          static_cast<int64_t>(entry.solver_name.size());
 }

@@ -32,8 +32,7 @@
 // contention); inserts sweep from the LRU end, giving one second chance to
 // referenced entries, until the shard fits its slice of the byte budget.
 // The budget counts the entries' real payload bytes (key sequence, edit
-// script, aligned pairs, repaired sequence) plus a fixed per-entry
-// overhead estimate.
+// script, repaired sequence) plus a fixed per-entry overhead estimate.
 //
 // What is cached. Exact results and *certified* approximate results
 // (certified_factor >= 1.0) — both are pure functions of the key, and a

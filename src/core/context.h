@@ -70,8 +70,6 @@ class RepairContext {
 
   /// Balance-scan parse stack (IsBalanced overload).
   std::vector<ParenType>& type_stack() { return type_stack_; }
-  /// Survivor-index stack for AppendMatchedPairs on the balanced path.
-  std::vector<int64_t>& index_stack() { return index_stack_; }
   /// Height profile h (Definition 15) of the reduced sequence.
   std::vector<int64_t>& heights() { return heights_; }
   /// Property-19 reduction output (Fact 18).
@@ -114,7 +112,6 @@ class RepairContext {
   int64_t documents_ = 0;
 
   std::vector<ParenType> type_stack_;
-  std::vector<int64_t> index_stack_;
   std::vector<int64_t> heights_;
   Reduced reduced_;
   BlockStructure blocks_;

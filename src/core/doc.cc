@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string_view>
 #include <utility>
 
 #include "src/baseline/greedy.h"
@@ -163,7 +162,7 @@ void RepairDoc::SummarizeDirtyChunks() {
           c.interned = std::move(shared);
           ++interned_count_;
         } else {
-          SummarizeChunk(chunk_span, &c.summary, &close_of_scratch_);
+          SummarizeChunk(chunk_span, &c.summary);
           // Intern the freshly built summary; the returned pointer is
           // canonical (an entry another doc raced in wins), and
           // c.summary is left moved-from behind it.
@@ -171,7 +170,7 @@ void RepairDoc::SummarizeDirtyChunks() {
                                          std::move(c.summary));
         }
       } else {
-        SummarizeChunk(chunk_span, &c.summary, &close_of_scratch_);
+        SummarizeChunk(chunk_span, &c.summary);
         c.interned = nullptr;
       }
       c.dirty = false;
@@ -181,17 +180,15 @@ void RepairDoc::SummarizeDirtyChunks() {
   DYCK_DCHECK_EQ(off, size());
 }
 
-void RepairDoc::MergeSummaries(bool with_matched_pairs) {
+void RepairDoc::MergeSummaries() {
   ReductionMerger merger;
-  merger.Reset(&merged_, &junction_pairs_, with_matched_pairs);
+  merger.Reset(&merged_);
   int64_t off = 0;
   for (const Chunk& c : chunks_) {
     merger.Append(c.view(), off);
     off += c.len;
   }
-  merger.Finish();
   merged_valid_ = true;
-  merged_has_pairs_ = with_matched_pairs;
 }
 
 int64_t RepairDoc::UntypedLowerBound(bool allow_substitutions) {
@@ -208,10 +205,10 @@ Status RepairDoc::RepairInto(const Options& options, RepairResult* out) {
   DYCK_ASSIGN_OR_RETURN(const Solver* forced, ResolveSolver(options));
 
   // Whole-document cache consult: the staged RunInto below skips its own
-  // consult on the StageArtifacts path (the doc completes partial results
-  // afterward), so the doc keys the *finished* result on its full buffer
-  // here — the replay/revert pattern (splice back to a previously repaired
-  // state) hits without touching the chunk machinery.
+  // consult on the StageArtifacts path, so the doc keys the result on its
+  // full buffer here, before any chunk refresh — the replay/revert pattern
+  // (splice back to a previously repaired state) hits without touching the
+  // chunk machinery.
   cache::RepairCache* repair_cache = cache::ResolveCache(options);
   cache::OptionsKey cache_key;
   uint64_t cache_hash = 0;
@@ -238,23 +235,7 @@ Status RepairDoc::RepairInto(const Options& options, RepairResult* out) {
   const bool subs = options.metric == Metric::kDeletionsAndSubstitutions;
   const bool is_auto = forced == nullptr;
   const bool exact_only = options.max_approximation_factor <= 1.0;
-  // Omitted-pairs mode: hand the solvers a Reduced whose matched_pairs is
-  // empty, so no solver copies/sorts the O(n) zero-cost alignment, and
-  // assemble the final aligned_pairs ourselves from the per-chunk pair
-  // lists. Whether the serving solver's script lacks exactly those pairs
-  // must be decidable from its caps().needs_reduced, which rules out the
-  // "approx" refinement solver (it serves either a greedy full-sequence
-  // script or an FPT reduced-based one, indistinguishable from outside)
-  // and the preserve-content style (its transform consumes the pairs
-  // inside stage 5).
-  const bool forced_approx =
-      forced != nullptr && std::string_view(forced->name()) == "approx";
-  const bool omit_pairs = exact_only && !forced_approx &&
-                          options.style == RepairStyle::kMinimalEdits;
-
-  if (!merged_valid_ || merged_has_pairs_ == omit_pairs) {
-    MergeSummaries(!omit_pairs);
-  }
+  if (!merged_valid_) MergeSummaries();
   const bool balanced = merged_.seq.empty();
 
   // Planner d-hint: the greedy scan of the *reduced* sequence (a valid
@@ -278,35 +259,18 @@ Status RepairDoc::RepairInto(const Options& options, RepairResult* out) {
   art.balanced = balanced;
   art.reduced = &merged_;
   art.d_hint = d_hint;
-  art.skip_materialize = omit_pairs;
   DYCK_RETURN_NOT_OK(pipeline::RunInto(buffer_, options, &ctx_, out, &art));
 
-  const auto finish_start = std::chrono::steady_clock::now();
-  if (!out->degraded) {
-    // Pairs were omitted from the solver's script iff it built them from
-    // request.reduced: needs_reduced solvers (fpt-*, banded), or the
-    // trivial balanced path (served_by == nullptr), whose stage-2 copy saw
-    // the empty matched_pairs. Raw-input solvers (cubic, branching) emit
-    // complete pairs themselves.
-    const bool pairs_omitted =
-        omit_pairs && (art.served_by != nullptr
-                           ? art.served_by->caps().needs_reduced
-                           : true);
-    if (pairs_omitted) AssemblePairs(out);
-    if (art.materialize_skipped) Materialize(out);
-  }
   out->telemetry.stage_seconds[static_cast<int>(
       PipelineStage::kProfileReduce)] += refresh_seconds;
-  out->telemetry.stage_seconds[static_cast<int>(
-      PipelineStage::kMaterialize)] += SecondsSince(finish_start);
   out->telemetry.incremental = !rebuilt;
   out->telemetry.chunks_reused = reused;
   out->telemetry.chunks_recomputed = recomputed;
   out->telemetry.interned_chunks = interned_count_;
   if (repair_cache != nullptr) {
     out->telemetry.cache_miss = true;
-    // Seed the cache with the completed result (pairs assembled,
-    // materialized); degraded answers are refused by Insert itself.
+    // Seed the cache with the result; degraded answers are refused by
+    // Insert itself.
     repair_cache->Insert(cache_hash, buffer_, cache_key, *out);
   }
   return Status::OK();
@@ -316,77 +280,6 @@ StatusOr<RepairResult> RepairDoc::Repair(const Options& options) {
   RepairResult out;
   DYCK_RETURN_NOT_OK(RepairInto(options, &out));
   return out;
-}
-
-void RepairDoc::AssemblePairs(RepairResult* out) {
-  // Three sorted-by-open streams: (1) each chunk's intra pairs, offset by
-  // the chunk start — their concatenation is globally sorted because every
-  // pair is intra-chunk; (2) junction pairs, few, sorted here; (3) the
-  // solver's own pairs, already sorted by EditScript::Normalize (opens are
-  // unique, so lexicographic == by open). The merge reproduces
-  // Normalize()'s sorted order byte for byte without sorting O(n) pairs.
-  std::vector<std::pair<int64_t, int64_t>>& extras = extra_pairs_scratch_;
-  extras.clear();
-  extras.assign(junction_pairs_.begin(), junction_pairs_.end());
-  std::sort(extras.begin(), extras.end());
-  if (!out->script.aligned_pairs.empty()) {
-    // Merge the solver pairs in (both streams are sorted by open).
-    const size_t junction_count = extras.size();
-    extras.insert(extras.end(), out->script.aligned_pairs.begin(),
-                  out->script.aligned_pairs.end());
-    std::inplace_merge(extras.begin(), extras.begin() + junction_count,
-                       extras.end());
-  }
-
-  std::vector<std::pair<int64_t, int64_t>>& merged = assembled_pairs_scratch_;
-  merged.clear();
-  size_t intra_total = 0;
-  for (const Chunk& c : chunks_) intra_total += c.view().pairs_by_open.size();
-  merged.reserve(intra_total + extras.size());
-  size_t e = 0;
-  int64_t off = 0;
-  for (const Chunk& c : chunks_) {
-    for (const auto& [open, close] : c.view().pairs_by_open) {
-      const int64_t abs_open = open + off;
-      while (e < extras.size() && extras[e].first < abs_open) {
-        merged.push_back(extras[e++]);
-      }
-      merged.emplace_back(abs_open, close + off);
-    }
-    off += c.len;
-  }
-  while (e < extras.size()) merged.push_back(extras[e++]);
-  out->script.aligned_pairs.swap(merged);
-}
-
-void RepairDoc::Materialize(RepairResult* out) {
-  // Stage-5 stand-in: ApplyScript semantics (ops sorted by pos; inserts at
-  // a position before the delete/substitute there), but copying the
-  // untouched runs between ops wholesale instead of symbol by symbol.
-  ParenSeq& rep = out->repaired;
-  rep.clear();
-  rep.reserve(buffer_.size() + out->script.ops.size());
-  int64_t src = 0;
-  for (const EditOp& op : out->script.ops) {
-    DYCK_DCHECK_GE(op.pos, src);
-    rep.insert(rep.end(), buffer_.begin() + src, buffer_.begin() + op.pos);
-    src = op.pos;
-    switch (op.kind) {
-      case EditOpKind::kInsert:
-        rep.push_back(op.replacement);
-        break;
-      case EditOpKind::kDelete:
-        ++src;
-        break;
-      case EditOpKind::kSubstitute:
-        rep.push_back(op.replacement);
-        ++src;
-        break;
-    }
-  }
-  rep.insert(rep.end(), buffer_.begin() + src, buffer_.end());
-  ++out->telemetry.seq_allocations;
-  DYCK_DCHECK(IsBalanced(rep, &ctx_.type_stack()));
 }
 
 }  // namespace dyck

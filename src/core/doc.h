@@ -5,8 +5,8 @@
 // paying one repair per keystroke pays O(n) per keystroke. RepairDoc keeps
 // the token buffer *and* the pipeline's stage-1/2 artifacts alive between
 // calls as a chunked cache: the document is cut into ~target-sized chunks,
-// each carrying its Property-19 reduction residual, its zero-cost pairs,
-// and its untyped height summary (src/profile/reduce.h ChunkSummary).
+// each carrying its Property-19 reduction residual and its untyped height
+// summary (src/profile/reduce.h ChunkSummary).
 // Chunk summaries compose monoid-style (ReductionMerger / MergeHeight), so
 //
 //   Splice(pos, erase_len, insert)   dirties only the touched chunks, and
@@ -25,14 +25,13 @@
 //
 // Telemetry: each result's RepairTelemetry carries
 // {incremental, chunks_reused, chunks_recomputed}; the doc-side refresh /
-// merge / materialize work is folded into the existing per-stage seconds.
+// merge work is folded into the existing ProfileReduce stage seconds.
 
 #ifndef DYCKFIX_SRC_CORE_DOC_H_
 #define DYCKFIX_SRC_CORE_DOC_H_
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/alphabet/paren.h"
@@ -73,9 +72,9 @@ class RepairDoc {
   void Splice(int64_t pos, int64_t erase_len, ParenSpan insert);
 
   /// Repairs the current buffer. Identical results (distance, script,
-  /// aligned pairs, repaired sequence, Status codes) to
-  /// Repair(tokens(), options) for every Options combination; only the
-  /// telemetry's incremental counters and stage timings differ.
+  /// repaired sequence, Status codes) to Repair(tokens(), options) for
+  /// every Options combination; only the telemetry's incremental counters
+  /// and stage timings differ.
   Status RepairInto(const Options& options, RepairResult* out);
   StatusOr<RepairResult> Repair(const Options& options = {});
 
@@ -115,28 +114,17 @@ class RepairDoc {
   bool EnsureSummaries(int64_t* reused, int64_t* recomputed);
   void RebuildChunks();
   void SummarizeDirtyChunks();
-  // Folds every chunk summary into merged_ / junction_pairs_.
-  void MergeSummaries(bool with_matched_pairs);
-  // Omitted-pairs completion: rebuilds the final aligned_pairs as the
-  // sorted-by-open merge of per-chunk intra pairs, junction pairs, and the
-  // solver's own pairs (already in out->script.aligned_pairs).
-  void AssemblePairs(RepairResult* out);
-  // Doc-side stand-in for stage 5's ApplyScript: segmented copies of the
-  // untouched runs between ops.
-  void Materialize(RepairResult* out);
+  // Folds every chunk summary into merged_.
+  void MergeSummaries();
 
   ParenSeq buffer_;
   std::vector<Chunk> chunks_;
   int64_t target_chunk_ = 0;
   int64_t requested_chunk_ = 0;  // constructor override; 0 = auto
 
-  // Merged stage artifacts, valid until the next Splice. merged_has_pairs_
-  // records whether matched_pairs was populated (it is skipped in
-  // omitted-pairs mode, where AssemblePairs builds the alignment instead).
+  // Merged stage artifacts, valid until the next Splice.
   Reduced merged_;
-  std::vector<std::pair<int64_t, int64_t>> junction_pairs_;
   bool merged_valid_ = false;
-  bool merged_has_pairs_ = false;
   // Cached planner d-hint per metric (0: deletions, 1: +substitutions).
   int64_t d_hint_[2] = {-1, -1};
   bool d_hint_valid_[2] = {false, false};
@@ -148,9 +136,6 @@ class RepairDoc {
   int64_t interned_count_ = 0;
 
   RepairContext ctx_;
-  std::vector<int32_t> close_of_scratch_;
-  std::vector<std::pair<int64_t, int64_t>> extra_pairs_scratch_;
-  std::vector<std::pair<int64_t, int64_t>> assembled_pairs_scratch_;
 };
 
 }  // namespace dyck

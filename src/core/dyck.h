@@ -123,7 +123,8 @@ struct Options {
 
 struct RepairResult {
   int64_t distance = 0;
-  /// Ops + alignment against the input sequence.
+  /// Ops against the input sequence; AlignedPairs(seq, script) derives
+  /// the zero-cost alignment.
   EditScript script;
   /// The input with the script applied; always balanced.
   ParenSeq repaired;

@@ -13,7 +13,6 @@ void EditScript::Normalize() {
   std::stable_sort(
       ops.begin(), ops.end(),
       [](const EditOp& a, const EditOp& b) { return a.pos < b.pos; });
-  std::sort(aligned_pairs.begin(), aligned_pairs.end());
 }
 
 std::string EditScript::ToString() const {
@@ -66,25 +65,77 @@ void ApplyScript(const ParenSeq& seq, const EditScript& script,
                  ParenSeq* out) {
   out->clear();
   out->reserve(seq.size() + script.ops.size());
-  size_t next_op = 0;
-  for (int64_t i = 0; i <= static_cast<int64_t>(seq.size()); ++i) {
-    while (next_op < script.ops.size() && script.ops[next_op].pos == i &&
-           script.ops[next_op].kind == EditOpKind::kInsert) {
-      out->push_back(script.ops[next_op].replacement);
-      ++next_op;
+  const auto n = static_cast<int64_t>(seq.size());
+  int64_t src = 0;  // first input index not yet copied or consumed
+  for (const EditOp& op : script.ops) {
+    DYCK_CHECK(op.pos >= src &&
+               (op.pos < n || (op.pos == n && op.kind == EditOpKind::kInsert)))
+        << "script op positions out of range or unsorted";
+    out->insert(out->end(), seq.begin() + src, seq.begin() + op.pos);
+    src = op.pos;
+    if (op.kind != EditOpKind::kDelete) out->push_back(op.replacement);
+    if (op.kind != EditOpKind::kInsert) ++src;
+  }
+  out->insert(out->end(), seq.begin() + src, seq.end());
+}
+
+std::vector<std::pair<int64_t, int64_t>> AlignedPairs(
+    ParenSpan seq, const EditScript& script) {
+  // Each stack entry is an open's type and the output slot reserved for its
+  // pair when it was pushed (-1 for an inserted open). Reserving at push
+  // time keeps the output sorted by open without a sort; a close fills the
+  // slot of the open it pops.
+  struct Open {
+    ParenType type;
+    int64_t slot;
+  };
+  std::vector<Open> stack;
+  std::vector<std::pair<int64_t, int64_t>> pairs;
+  pairs.reserve(seq.size() / 2);
+  int64_t unfilled = 0;  // original opens closed by an inserted close
+  const auto take = [&](const Paren& p, int64_t pos) {
+    if (p.is_open) {
+      int64_t slot = -1;
+      if (pos >= 0) {
+        slot = static_cast<int64_t>(pairs.size());
+        pairs.emplace_back(pos, -1);
+      }
+      stack.push_back({p.type, slot});
+      return;
     }
-    if (i == static_cast<int64_t>(seq.size())) break;
-    if (next_op < script.ops.size() && script.ops[next_op].pos == i) {
-      const EditOp& op = script.ops[next_op];
-      ++next_op;
-      if (op.kind == EditOpKind::kDelete) continue;
-      out->push_back(op.replacement);
+    DYCK_CHECK(!stack.empty() && stack.back().type == p.type)
+        << "script does not repair the sequence";
+    const int64_t slot = stack.back().slot;
+    stack.pop_back();
+    if (slot < 0) return;
+    if (pos >= 0) {
+      pairs[slot].second = pos;
     } else {
-      out->push_back(seq[i]);
+      ++unfilled;
+    }
+  };
+  const int64_t n = static_cast<int64_t>(seq.size());
+  size_t k = 0;
+  for (int64_t i = 0; i <= n; ++i) {
+    for (; k < script.ops.size() && script.ops[k].pos == i &&
+           script.ops[k].kind == EditOpKind::kInsert;
+         ++k) {
+      take(script.ops[k].replacement, -1);
+    }
+    if (i == n) break;
+    if (k < script.ops.size() && script.ops[k].pos == i) {
+      const EditOp& op = script.ops[k++];
+      if (op.kind == EditOpKind::kSubstitute) take(op.replacement, i);
+    } else {
+      take(seq[i], i);
     }
   }
-  DYCK_CHECK_EQ(next_op, script.ops.size())
-      << "script op positions out of range or unsorted";
+  DYCK_CHECK(k == script.ops.size() && stack.empty())
+      << "script does not repair the sequence";
+  if (unfilled > 0) {
+    std::erase_if(pairs, [](const auto& pair) { return pair.second < 0; });
+  }
+  return pairs;
 }
 
 int32_t PairCost(const Paren& left, const Paren& right,
@@ -116,7 +167,6 @@ void AppendPairAlignment(ParenSpan seq, int64_t i, int64_t j,
     script->ops.push_back(
         {EditOpKind::kSubstitute, j, Paren::Close(left.type)});
   }
-  script->aligned_pairs.emplace_back(i, j);
 }
 
 Status ValidateScript(const ParenSeq& seq, const EditScript& script,

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/alphabet/paren.h"
@@ -41,14 +42,12 @@ struct EditOp {
   bool operator==(const EditOp&) const = default;
 };
 
-/// A set of edits plus, optionally, the zero-cost alignment that the edits
-/// make possible (used to draw Figure 2/3-style arc diagrams).
+/// A set of edits. The zero-cost alignment the edits make possible (used
+/// to draw Figure 2/3-style arc diagrams) is derived on request by
+/// AlignedPairs.
 struct EditScript {
   /// Sorted by pos; at most one op per position.
   std::vector<EditOp> ops;
-  /// Aligned (open, close) index pairs of the repaired sequence, in
-  /// original-index terms. Optional; empty if the producer skipped it.
-  std::vector<std::pair<int64_t, int64_t>> aligned_pairs;
 
   int64_t Cost() const { return static_cast<int64_t>(ops.size()); }
 
@@ -65,15 +64,26 @@ struct EditScript {
 
 /// Applies `script` to `seq`; ops must be sorted by position (inserts at a
 /// position apply, in op order, before the symbol at that position; at
-/// most one delete/substitute per position). Substituting a symbol by
-/// itself is allowed (costs 1 like any op) but never produced by this
-/// library's algorithms.
+/// most one delete/substitute per position; checked). The untouched runs
+/// between ops are copied wholesale. Substituting a symbol by itself is
+/// allowed (costs 1 like any op) but never produced by this library's
+/// algorithms.
 ParenSeq ApplyScript(const ParenSeq& seq, const EditScript& script);
 
 /// As above, writing into `*out` (cleared first). Lets callers with a
 /// long-lived result object reuse its capacity across documents.
 void ApplyScript(const ParenSeq& seq, const EditScript& script,
                  ParenSeq* out);
+
+/// The zero-cost alignment `script` realizes on `seq`: the (open, close)
+/// original-index pairs that the repaired sequence matches, sorted by open.
+/// The survivors of a valid repair form a balanced sequence, which has
+/// exactly one matching, so the alignment is a pure function of
+/// (seq, script) and one O(n) stack pass recovers it. Inserted symbols take
+/// part in the matching, but pairs with an inserted end are not reported.
+/// Requires `script` to repair `seq` (checked, like ApplyScript's op order).
+std::vector<std::pair<int64_t, int64_t>> AlignedPairs(
+    ParenSpan seq, const EditScript& script);
 
 /// Checks that `script` is well-formed for `seq`, costs `expected_cost`,
 /// and that the repaired sequence is balanced.
@@ -92,9 +102,8 @@ inline constexpr int32_t kPairImpossible = 1 << 20;
 int32_t PairCost(const Paren& left, const Paren& right,
                  bool allow_substitutions);
 
-/// Appends the substitutions (if any) realizing PairCost(seq[i], seq[j])
-/// and records (i, j) as an aligned pair. Requires the cost to be
-/// realizable (< kPairImpossible).
+/// Appends the substitutions (if any) realizing PairCost(seq[i], seq[j]).
+/// Requires the cost to be realizable (< kPairImpossible).
 void AppendPairAlignment(ParenSpan seq, int64_t i, int64_t j,
                          EditScript* script);
 

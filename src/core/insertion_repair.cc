@@ -14,7 +14,6 @@ StatusOr<EditScript> PreserveContentScript(const ParenSeq& seq,
   ParenSeq t = seq;
   std::vector<bool> deleted(seq.size(), false);
   EditScript out;
-  out.aligned_pairs = script.aligned_pairs;
   for (const EditOp& op : script.ops) {
     if (op.pos < 0 || op.pos >= static_cast<int64_t>(seq.size())) {
       return Status::InvalidArgument("script position out of range");
@@ -90,7 +89,6 @@ StatusOr<EditScript> PreserveContentScript(const ParenSeq& seq,
                      return a.kind == EditOpKind::kInsert &&
                             b.kind != EditOpKind::kInsert;
                    });
-  std::sort(out.aligned_pairs.begin(), out.aligned_pairs.end());
   DYCK_DCHECK_EQ(out.Cost(), script.Cost());
   return out;
 }

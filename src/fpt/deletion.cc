@@ -111,25 +111,15 @@ class DeletionSolver::Impl {
     FptResult result;
     result.distance = *dist;
     result.script.ops.reserve(static_cast<size_t>(*dist));
-    result.script.aligned_pairs.reserve(reduced_->seq.size() / 2 +
-                                        reduced_->matched_pairs.size());
     if (!reduced_->seq.empty()) {
       DYCK_RETURN_NOT_OK(Reconstruct(
           0, static_cast<int64_t>(reduced_->seq.size()) - 1,
           &result.script));
     }
-    // Translate reduced indices to original ones and add the zero-cost
-    // pairs removed by the reduction.
+    // Translate reduced indices to original ones.
     for (EditOp& op : result.script.ops) {
       op.pos = reduced_->orig_pos[op.pos];
     }
-    for (auto& [a, b] : result.script.aligned_pairs) {
-      a = reduced_->orig_pos[a];
-      b = reduced_->orig_pos[b];
-    }
-    result.script.aligned_pairs.insert(result.script.aligned_pairs.end(),
-                                       reduced_->matched_pairs.begin(),
-                                       reduced_->matched_pairs.end());
     result.script.Normalize();
     DYCK_CHECK_EQ(result.script.Cost(), result.distance);
     return result;
@@ -363,31 +353,16 @@ class DeletionSolver::Impl {
     return Status::OK();
   }
 
-  // Expands the leaf pair (X, Y) into deletions/matches on reduced indices.
+  // Expands the leaf pair (X, Y) into deletions on reduced indices.
   Status EmitPairOps(int64_t x_begin, int64_t x_end, int64_t y_begin,
                      int64_t y_end, EditScript* script) {
     DYCK_ASSIGN_OR_RETURN(
         const BandedResult aligned,
         oracle_.AlignPair(x_begin, x_end, y_begin, y_end, d_,
                           WaveMetric::kDeletion));
-    size_t matches = 0;
-    size_t deletes = 0;
-    for (const PairOp& op : aligned.ops) {
-      if (op.kind == PairOpKind::kMatch) {
-        matches += static_cast<size_t>(op.len);
-      } else {
-        ++deletes;
-      }
-    }
-    script->aligned_pairs.reserve(script->aligned_pairs.size() + matches);
-    script->ops.reserve(script->ops.size() + deletes);
     for (const PairOp& op : aligned.ops) {
       switch (op.kind) {
         case PairOpKind::kMatch:
-          for (int64_t t = 0; t < op.len; ++t) {
-            script->aligned_pairs.emplace_back(x_begin + op.a_pos + t,
-                                               y_end - 1 - (op.b_pos + t));
-          }
           break;
         case PairOpKind::kDeleteA:
           script->ops.push_back(

@@ -78,8 +78,6 @@ class SubstitutionSolver::Impl {
     FptResult result;
     result.distance = *dist;
     result.script.ops.reserve(static_cast<size_t>(*dist));
-    result.script.aligned_pairs.reserve(reduced_.seq.size() / 2 +
-                                        reduced_.matched_pairs.size());
     if (!reduced_.seq.empty()) {
       DYCK_RETURN_NOT_OK(Reconstruct(
           0, static_cast<int64_t>(reduced_.seq.size()) - 1, &result.script));
@@ -87,13 +85,6 @@ class SubstitutionSolver::Impl {
     for (EditOp& op : result.script.ops) {
       op.pos = reduced_.orig_pos[op.pos];
     }
-    for (auto& [a, b] : result.script.aligned_pairs) {
-      a = reduced_.orig_pos[a];
-      b = reduced_.orig_pos[b];
-    }
-    result.script.aligned_pairs.insert(result.script.aligned_pairs.end(),
-                                       reduced_.matched_pairs.begin(),
-                                       reduced_.matched_pairs.end());
     result.script.Normalize();
     DYCK_CHECK_EQ(result.script.Cost(), result.distance);
     return result;
@@ -391,9 +382,6 @@ class SubstitutionSolver::Impl {
       const int64_t pb = j - op.b_pos;  // position in the closing fragment
       switch (op.kind) {
         case PairOpKind::kMatch:
-          for (int64_t t = 0; t < op.len; ++t) {
-            script->aligned_pairs.emplace_back(pa + t, pb - t);
-          }
           break;
         case PairOpKind::kDeleteA:
           script->ops.push_back({EditOpKind::kDelete, pa, Paren{}});
@@ -406,19 +394,16 @@ class SubstitutionSolver::Impl {
           // closer to match.
           script->ops.push_back(
               {EditOpKind::kSubstitute, pb, Paren::Close(s[pa].type)});
-          script->aligned_pairs.emplace_back(pa, pb);
           break;
         case PairOpKind::kDoubleDeleteA:
           // Two consecutive openings leave the alignment: "((" -> "()".
           script->ops.push_back({EditOpKind::kSubstitute, pa + 1,
                                  Paren::Close(s[pa].type)});
-          script->aligned_pairs.emplace_back(pa, pa + 1);
           break;
         case PairOpKind::kDoubleDeleteB:
           // Two consecutive closings (pb-1, pb): "))" -> "()".
           script->ops.push_back({EditOpKind::kSubstitute, pb - 1,
                                  Paren::Open(s[pb].type)});
-          script->aligned_pairs.emplace_back(pb - 1, pb);
           break;
       }
     }

@@ -105,11 +105,6 @@ class BandedSolver final : public Solver {
           for (const PairOp& op : aligned.ops) {
             switch (op.kind) {
               case PairOpKind::kMatch:
-                for (int64_t t = 0; t < op.len; ++t) {
-                  s.script.aligned_pairs.emplace_back(
-                      reduced.orig_pos[op.a_pos + t],
-                      reduced.orig_pos[n_red - 1 - (op.b_pos + t)]);
-                }
                 break;
               case PairOpKind::kDeleteA:
                 s.script.ops.push_back({EditOpKind::kDelete,
@@ -126,9 +121,6 @@ class BandedSolver final : public Solver {
                     "substitution op under the deletion metric");
             }
           }
-          s.script.aligned_pairs.insert(s.script.aligned_pairs.end(),
-                                        reduced.matched_pairs.begin(),
-                                        reduced.matched_pairs.end());
           s.script.Normalize();
           DYCK_CHECK_EQ(s.script.Cost(), s.distance);
           return s;

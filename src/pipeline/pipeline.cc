@@ -71,7 +71,7 @@ class StageTimer {
 // artifacts instead of scanning `seq` (see StageArtifacts in pipeline.h).
 Status RunStaged(const ParenSeq& seq, const Options& options,
                  const Solver* forced, RepairContext& ctx,
-                 RepairResult* outp, StageArtifacts* art) {
+                 RepairResult* outp, const StageArtifacts* art) {
   const ParenSpan view(seq);
   const bool subs = UseSubstitutions(options.metric);
   const int64_t cap = static_cast<int64_t>(seq.size()) + 1;
@@ -96,45 +96,33 @@ Status RunStaged(const ParenSeq& seq, const Options& options,
 
   // Stage 2 — Profile/Reduce (Fact 18 / Property 19). Only the consumers
   // that semantically operate on the reduced sequence get one: forced
-  // solvers that declare needs_reduced (they borrow it from the context),
-  // the planner (which inspects the reduced shape, e.g. the banded
-  // solver's single-peak test), and the balanced fast path (which needs
-  // just the zero-cost pair alignment — no reduced sequence is
-  // materialized for it). Cubic and branching produce scripts against raw
-  // input positions, so reduction is skipped for them, not discarded.
+  // solvers that declare needs_reduced (they borrow it from the context)
+  // and the planner (which inspects the reduced shape, e.g. the banded
+  // solver's single-peak test). Cubic and branching produce scripts
+  // against raw input positions, so reduction is skipped for them, not
+  // discarded; the balanced fast path needs nothing from it.
   const bool wants_reduction =
       (forced != nullptr && forced->caps().needs_reduced) ||
       (is_auto && !balanced);
-  Reduced& reduced = ctx.reduced();
+  const Reduced* reduced = nullptr;
   timer.Start(PipelineStage::kProfileReduce);
-  if (art != nullptr) {
-    if (wants_reduction) {
-      telemetry.reduced_length =
-          static_cast<int64_t>(art->reduced->seq.size());
-    } else if (is_auto && balanced) {
-      // For a balanced document the cached reduction's zero-cost pairs ARE
-      // the full alignment AppendMatchedPairs would emit (empty under the
-      // caller's omitted-pairs mode, where the caller assembles them
-      // itself after the run).
-      out.script.aligned_pairs.insert(out.script.aligned_pairs.end(),
-                                      art->reduced->matched_pairs.begin(),
-                                      art->reduced->matched_pairs.end());
-      telemetry.reduced_length = 0;
+  if (wants_reduction) {
+    if (art != nullptr) {
+      reduced = art->reduced;
+    } else {
+      Reduce(view, &ctx.reduced());
+      reduced = &ctx.reduced();
+      ++telemetry.seq_allocations;  // the reduced sequence itself
     }
-  } else if (wants_reduction) {
-    Reduce(view, &reduced);
-    telemetry.reduced_length = static_cast<int64_t>(reduced.seq.size());
-    ++telemetry.seq_allocations;  // the reduced sequence itself
+    telemetry.reduced_length = static_cast<int64_t>(reduced->seq.size());
   } else if (is_auto && balanced) {
-    AppendMatchedPairs(view, &out.script.aligned_pairs, &ctx.index_stack());
     telemetry.reduced_length = 0;  // balanced input reduces to empty
   }
   timer.Stop();
 
   SolveRequest request;
   request.seq = view;
-  request.reduced =
-      wants_reduction ? (art != nullptr ? art->reduced : &reduced) : nullptr;
+  request.reduced = reduced;
   request.use_substitutions = subs;
   request.max_distance = options.max_distance;
   request.doubling_cap = cap;
@@ -162,16 +150,14 @@ Status RunStaged(const ParenSeq& seq, const Options& options,
     }
   }
   if (!trivial) telemetry.solver_name = solver->name();
-  if (art != nullptr) art->served_by = trivial ? nullptr : solver;
   timer.Stop();
 
   if (trivial) {
     // Stage 5 — Materialize (Solve is a no-op): the input is its own
-    // repair; the stage-2 alignment becomes the full arc diagram.
+    // repair, with an empty script.
     timer.Start(PipelineStage::kMaterialize);
     out.repaired = seq;
     ++telemetry.seq_allocations;  // the output copy
-    out.script.Normalize();
     timer.Stop();
     return Status::OK();
   }
@@ -192,16 +178,9 @@ Status RunStaged(const ParenSeq& seq, const Options& options,
     DYCK_ASSIGN_OR_RETURN(out.script,
                           PreserveContentScript(seq, out.script));
   }
-  if (art != nullptr && art->skip_materialize &&
-      options.style == RepairStyle::kMinimalEdits) {
-    // The caller materializes out.repaired itself (segmented copies around
-    // the edit script) and owns the balance DCHECK.
-    art->materialize_skipped = true;
-  } else {
-    ApplyScript(seq, out.script, &out.repaired);
-    ++telemetry.seq_allocations;  // the repaired output
-    DYCK_DCHECK(IsBalanced(out.repaired, &ctx.type_stack()));
-  }
+  ApplyScript(seq, out.script, &out.repaired);
+  ++telemetry.seq_allocations;  // the repaired output
+  DYCK_DCHECK(IsBalanced(out.repaired, &ctx.type_stack()));
   timer.Stop();
   return Status::OK();
 }
@@ -284,7 +263,6 @@ void DegradeToApproximate(const ParenSeq& seq, const Options& options,
 void ResetResult(RepairResult* out) {
   out->repaired.clear();
   out->script.ops.clear();
-  out->script.aligned_pairs.clear();
   out->distance = 0;
   out->degraded = false;
   out->telemetry = RepairTelemetry{};
@@ -307,24 +285,19 @@ Status RunInto(const ParenSeq& seq, const Options& options,
 
 Status RunInto(const ParenSeq& seq, const Options& options,
                RepairContext* context, RepairResult* out,
-               StageArtifacts* artifacts) {
+               const StageArtifacts* artifacts) {
   RepairContext& ctx =
       context != nullptr ? *context : RepairContext::CurrentThread();
   ctx.BeginDocument();
   ResetResult(out);
-  if (artifacts != nullptr) {
-    artifacts->served_by = nullptr;
-    artifacts->materialize_skipped = false;
-  }
   // Selection resolves before the cache and before any stage runs: an
   // unknown solver name, an unsupported metric or a NaN factor is an
   // options error, not a solve error, and never reaches a cache key.
   DYCK_ASSIGN_OR_RETURN(const Solver* forced, ResolveSolver(options));
 
   // Content-hash cache consult, eager path only. The StageArtifacts path
-  // (RepairDoc) may return partial results (pairs omitted, materialize
-  // skipped) that the doc completes afterward, so it runs its own
-  // whole-document consult in RepairDoc::RepairInto instead.
+  // (RepairDoc) runs its own whole-document consult in
+  // RepairDoc::RepairInto, before refreshing its chunk summaries.
   cache::RepairCache* repair_cache = nullptr;
   cache::OptionsKey cache_key;
   uint64_t cache_hash = 0;
@@ -407,12 +380,6 @@ Status RunInto(const ParenSeq& seq, const Options& options,
   if (options.on_budget_exceeded == DegradePolicy::kFail ||
       status.IsCancelled()) {
     return status;
-  }
-  if (artifacts != nullptr) {
-    // Degraded answers are built from the raw sequence and arrive fully
-    // materialized; nothing of the staged run's selection survives.
-    artifacts->served_by = nullptr;
-    artifacts->materialize_skipped = false;
   }
   if (options.on_budget_exceeded == DegradePolicy::kApproximate) {
     DegradeToApproximate(seq, options, ctx, out);

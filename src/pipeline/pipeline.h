@@ -7,13 +7,13 @@
 //   1. Normalize    — the linear balance scan (Definition 3 stack parse).
 //   2. ProfileReduce— Property-19 reduction (Fact 18), run only for the
 //                     consumers that need it: solvers whose caps() declare
-//                     needs_reduced borrow it from the context, the
-//                     balanced fast path takes just the zero-cost pair
-//                     alignment, and when the planner selects it is
-//                     always built so the planner can inspect the reduced
-//                     shape. Cubic and branching solve the raw input, so
-//                     the stage is a no-op when they are forced (reduction
-//                     would relocate their script positions).
+//                     needs_reduced borrow it from the context, and when
+//                     the planner selects an unbalanced input it is always
+//                     built so the planner can inspect the reduced shape.
+//                     Cubic and branching solve the raw input, and the
+//                     balanced fast path needs nothing, so the stage is a
+//                     no-op for them (reduction would relocate cubic's and
+//                     branching's script positions).
 //   3. Select       — resolve the solver (ResolveSolver, src/core/
 //                     solver.h): a forced Options::solver is its registry
 //                     entry; "" / "auto" goes to the cost-model planner
@@ -22,7 +22,9 @@
 //   4. Solve        — Solver::Solve of the selected registry entry, under
 //                     the d-doubling driver of §1.1 where the solver
 //                     supports bounded probes.
-//   5. Materialize  — preserve-content transform + ApplyScript.
+//   5. Materialize  — preserve-content transform + ApplyScript. The
+//                     zero-cost alignment is not materialized; callers
+//                     that draw it derive it with AlignedPairs.
 //
 // Stages exchange ParenSpan views and moved ownership, never sequence
 // copies; RepairTelemetry records per-stage wall time, the doubling
@@ -41,7 +43,6 @@
 namespace dyck {
 
 class RepairContext;
-class Solver;
 struct Reduced;
 
 namespace pipeline {
@@ -54,32 +55,15 @@ namespace pipeline {
 /// byte-identical results by construction, since the artifacts are defined
 /// to equal what the eager stages would compute.
 struct StageArtifacts {
-  // -- Inputs --
   /// Stage-1 verdict for `seq`.
   bool balanced = false;
   /// Stage-2 result: the Property-19 reduction of `seq`. Must outlive the
-  /// call. Its matched_pairs may be legitimately empty even when pairs
-  /// were dropped ("omitted-pairs mode"): the caller then assembles the
-  /// final alignment itself, and must only do so for configurations where
-  /// the serving solver's script verifiably lacks them (see RepairDoc).
+  /// call.
   const Reduced* reduced = nullptr;
   /// Raw distance upper bound for the planner (pre-clamping), or -1 to let
   /// the planner compute its own from `reduced`. Ignored for forced
   /// solvers, which never consumed a hint on the eager path.
   int64_t d_hint = -1;
-  /// Ask stage 5 to skip ApplyScript so the caller can materialize the
-  /// repaired sequence itself (e.g. segmented copies around the edit).
-  /// Honored only for RepairStyle::kMinimalEdits on the non-trivial path;
-  /// check materialize_skipped.
-  bool skip_materialize = false;
-
-  // -- Outputs --
-  /// The solver whose script the result carries; nullptr on the balanced
-  /// trivial path or when the run degraded / failed before stage 4.
-  const Solver* served_by = nullptr;
-  /// True iff stage 5 honored skip_materialize and `out->repaired` was
-  /// left empty for the caller to fill.
-  bool materialize_skipped = false;
 };
 
 /// Runs the staged pipeline on `seq`. The result carries its
@@ -106,10 +90,10 @@ Status RunInto(const ParenSeq& seq, const Options& options,
 /// served from `*artifacts` instead of rescanning `seq`. Budget wiring and
 /// the degrade ladder are shared with the eager overload; degraded answers
 /// ignore the artifacts entirely (the greedy fallbacks scan the raw
-/// sequence) and always come back fully materialized.
+/// sequence).
 Status RunInto(const ParenSeq& seq, const Options& options,
                RepairContext* context, RepairResult* out,
-               StageArtifacts* artifacts);
+               const StageArtifacts* artifacts);
 
 }  // namespace pipeline
 }  // namespace dyck

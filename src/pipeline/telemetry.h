@@ -29,8 +29,8 @@ namespace dyck {
 enum class PipelineStage : int {
   /// Input inspection: the linear balance scan (Definition 3 stack parse).
   kNormalize = 0,
-  /// Property-19 reduction (Fact 18) + the zero-cost pair alignment; run
-  /// only for paths that consume it (FPT solvers, balanced fast path).
+  /// Property-19 reduction (Fact 18); run only for forced solvers that
+  /// declare needs_reduced and for the planner on unbalanced input.
   kProfileReduce = 1,
   /// Solver selection: the cost-model planner, unless Options::solver
   /// names a registry entry.

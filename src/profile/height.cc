@@ -43,7 +43,7 @@ void ComputeHeights(ParenSpan seq, std::vector<int64_t>* out) {
 
 std::string RenderProfile(
     ParenSpan seq,
-    const std::vector<std::pair<int64_t, int64_t>>& aligned_pairs) {
+    const std::vector<std::pair<int64_t, int64_t>>& pairs) {
   if (seq.empty()) return "(empty sequence)\n";
   const std::vector<int64_t> h = ComputeHeights(seq);
   const int64_t h_min = *std::min_element(h.begin(), h.end());
@@ -57,7 +57,7 @@ std::string RenderProfile(
   for (int64_t i = 0; i < cols; ++i) {
     grid[h_max - h[i]][i] = text[std::min<int64_t>(i, text.size() - 1)];
   }
-  for (const auto& [a, b] : aligned_pairs) {
+  for (const auto& [a, b] : pairs) {
     if (a < 0 || b < 0 || a >= cols || b >= cols) continue;
     grid[h_max - h[a]][a] = '*';
     grid[h_max - h[b]][b] = '*';

@@ -61,11 +61,10 @@ void ComputeHeights(ParenSpan seq, std::vector<int64_t>* out);
 
 /// Renders the height profile as multi-line ASCII art (one column per
 /// symbol), reproducing the visual content of the paper's Figures 1-3.
-/// `marks` optionally connects aligned pairs: each pair (i, j) draws arc
-/// endpoints '*' at those columns.
-std::string RenderProfile(ParenSpan seq,
-                          const std::vector<std::pair<int64_t, int64_t>>&
-                              aligned_pairs = {});
+/// `pairs` optionally connects aligned pairs (e.g. AlignedPairs of a
+/// repair): each pair (i, j) draws arc endpoints '*' at those columns.
+std::string RenderProfile(
+    ParenSpan seq, const std::vector<std::pair<int64_t, int64_t>>& pairs = {});
 
 }  // namespace dyck
 

@@ -13,28 +13,15 @@ Reduced Reduce(ParenSpan seq) {
 void Reduce(ParenSpan seq, Reduced* outp) {
   Reduced& out = *outp;
   out.seq.clear();
-  out.matched_pairs.clear();
   // out.orig_pos holds indices into `seq` of the symbols that survive. A
   // closing symbol can only ever cancel against the nearest surviving
   // opening to its left, so the single stack pass inside ReduceSpan
   // performs every possible neighbor removal; the survivor list stays
   // strictly increasing (pushes are increasing, pops are from the back),
   // so it IS the survivor index map.
-  simd::ReduceSpan(seq.data(), seq.size(), &out.orig_pos, &out.matched_pairs,
-                   nullptr);
+  simd::ReduceSpan(seq.data(), seq.size(), &out.orig_pos, nullptr);
   out.seq.reserve(out.orig_pos.size());
   for (int64_t idx : out.orig_pos) out.seq.push_back(seq[idx]);
-}
-
-void AppendMatchedPairs(ParenSpan seq,
-                        std::vector<std::pair<int64_t, int64_t>>* out,
-                        std::vector<int64_t>* kept_scratch) {
-  // Same stack pass as Reduce, but survivors are kept only as indices and
-  // never materialized into a sequence.
-  std::vector<int64_t> local;
-  std::vector<int64_t>& kept = kept_scratch != nullptr ? *kept_scratch
-                                                       : local;
-  simd::ReduceSpan(seq.data(), seq.size(), &kept, out, nullptr);
 }
 
 bool SatisfiesProperty19(ParenSpan seq) {
@@ -44,43 +31,22 @@ bool SatisfiesProperty19(ParenSpan seq) {
   return true;
 }
 
-void SummarizeChunk(ParenSpan chunk, ChunkSummary* out,
-                    std::vector<int32_t>* close_of_scratch) {
+void SummarizeChunk(ParenSpan chunk, ChunkSummary* out) {
   out->residual.clear();
-  out->pairs_by_close.clear();
-  out->pairs_by_open.clear();
   // residual_pos is the survivor list of the stack pass, exactly like
   // Reduce's orig_pos: strictly increasing pushes, pops from the back.
   simd::SpanHeight h;
-  simd::ReduceSpan(chunk.data(), chunk.size(), &out->residual_pos,
-                   &out->pairs_by_close, &h);
+  simd::ReduceSpan(chunk.data(), chunk.size(), &out->residual_pos, &h);
   out->height.net = h.net;
   out->height.min_prefix = h.min_prefix;
   out->residual.reserve(out->residual_pos.size());
   for (int64_t idx : out->residual_pos) out->residual.push_back(chunk[idx]);
-  // Opens are walked in position order, so pairs_by_open comes out sorted
-  // without a comparison sort.
-  std::vector<int32_t>& close_of = *close_of_scratch;
-  close_of.assign(chunk.size(), -1);
-  for (const auto& [open, close] : out->pairs_by_close) {
-    close_of[open] = static_cast<int32_t>(close);
-  }
-  out->pairs_by_open.reserve(out->pairs_by_close.size());
-  for (int64_t i = 0; i < static_cast<int64_t>(chunk.size()); ++i) {
-    if (close_of[i] >= 0) out->pairs_by_open.emplace_back(i, close_of[i]);
-  }
 }
 
-void ReductionMerger::Reset(
-    Reduced* out, std::vector<std::pair<int64_t, int64_t>>* junction_pairs,
-    bool emit_matched_pairs) {
+void ReductionMerger::Reset(Reduced* out) {
   out_ = out;
-  junctions_ = junction_pairs;
-  emit_matched_pairs_ = emit_matched_pairs;
   out_->seq.clear();
   out_->orig_pos.clear();
-  out_->matched_pairs.clear();
-  junctions_->clear();
 }
 
 void ReductionMerger::Append(const ChunkSummary& chunk, int64_t offset) {
@@ -92,43 +58,16 @@ void ReductionMerger::Append(const ChunkSummary& chunk, int64_t offset) {
   // Every pop here is a cancellation the global pass would perform, and no
   // cancellation internal to the residual is possible (Property 19), so
   // the replay reproduces the global reduction exactly.
-  const size_t junction_start = junctions_->size();
   for (size_t i = 0; i < chunk.residual.size(); ++i) {
     const Paren& p = chunk.residual[i];
-    const int64_t pos = offset + chunk.residual_pos[i];
     if (!p.is_open && !out.seq.empty() && out.seq.back().Matches(p)) {
-      junctions_->emplace_back(out.orig_pos.back(), pos);
       out.seq.pop_back();
       out.orig_pos.pop_back();
     } else {
       out.seq.push_back(p);
-      out.orig_pos.push_back(pos);
-    }
-  }
-  if (!emit_matched_pairs_) return;
-  // The eager pass emits each zero-cost pair the moment its close is
-  // scanned, i.e. ascending by close. Both per-chunk streams — the intra
-  // pairs and the junctions discovered just above — are already ascending
-  // by close, so a two-pointer interleave restores the exact eager order.
-  const auto& intra = chunk.pairs_by_close;
-  auto& merged = out.matched_pairs;
-  size_t ii = 0;
-  size_t ji = junction_start;
-  while (ii < intra.size() || ji < junctions_->size()) {
-    const bool take_intra =
-        ji >= junctions_->size() ||
-        (ii < intra.size() &&
-         intra[ii].second + offset < (*junctions_)[ji].second);
-    if (take_intra) {
-      merged.emplace_back(intra[ii].first + offset, intra[ii].second + offset);
-      ++ii;
-    } else {
-      merged.push_back((*junctions_)[ji]);
-      ++ji;
+      out.orig_pos.push_back(offset + chunk.residual_pos[i]);
     }
   }
 }
-
-void ReductionMerger::Finish() {}
 
 }  // namespace dyck

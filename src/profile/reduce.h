@@ -4,8 +4,10 @@
 // them." The removal relation is confluent, so a single stack pass computes
 // the unique fully-reduced sequence: push openings; when a closing matches
 // the type of the top-of-stack opening, drop both. By Fact 18 the reduction
-// preserves both edit1 and edit2. The dropped pairs are exactly parentheses
-// matched at zero cost, which edit-script reconstruction needs.
+// preserves both edit1 and edit2. The dropped pairs are parentheses matched
+// at zero cost; solvers need only the survivors' original positions, and
+// AlignedPairs (src/core/edit_script.h) recovers the full alignment of a
+// finished script on request.
 
 #ifndef DYCKFIX_SRC_PROFILE_REDUCE_H_
 #define DYCKFIX_SRC_PROFILE_REDUCE_H_
@@ -26,8 +28,8 @@ struct Reduced {
   /// orig_pos[i] = index in the original sequence of reduced symbol i.
   /// Strictly increasing.
   std::vector<int64_t> orig_pos;
-  /// Zero-cost matched pairs removed by the reduction, as (open, close)
-  /// indices into the original sequence.
+  /// Never filled: nothing in the library reads the pairs the reduction
+  /// drops. Kept only because e2ebench/splice_edit.cc clears it.
   std::vector<std::pair<int64_t, int64_t>> matched_pairs;
 };
 
@@ -40,87 +42,52 @@ Reduced Reduce(ParenSpan seq);
 /// scratch beyond the result itself is touched.
 void Reduce(ParenSpan seq, Reduced* out);
 
-/// Appends only the zero-cost matched pairs of the reduction to `*out`,
-/// without materializing the reduced sequence or the survivor index map.
-/// For a balanced `seq` this is the full alignment (every symbol pairs at
-/// zero cost); the pipeline's balanced fast path uses this so rendering
-/// the trivial script allocates nothing beyond the output pairs.
-/// `kept_scratch` (optional) provides the survivor stack's storage.
-void AppendMatchedPairs(ParenSpan seq,
-                        std::vector<std::pair<int64_t, int64_t>>* out,
-                        std::vector<int64_t>* kept_scratch = nullptr);
-
 /// True iff no two adjacent symbols of `seq` can be aligned (Property 19).
 bool SatisfiesProperty19(ParenSpan seq);
 
 /// Per-chunk reduction summary. A chunk's reduction is context-free: the
-/// residual (the chunk reduced in isolation) plus its zero-cost intra-chunk
-/// pairs fully determine how the chunk composes with any left context,
-/// because replaying the residual against the survivor stack of the
-/// preceding chunks performs exactly the cancellations the global stack
-/// pass would — the residual satisfies Property 19, so no cancellation
-/// internal to it is possible, and the first stack pop a survivor could
-/// cause must be against the preceding context. This makes chunk summaries
-/// a monoid under ReductionMerger composition, and is what lets a splice
-/// recompute one chunk in O(chunk) and re-merge in O(total residual).
+/// residual (the chunk reduced in isolation) fully determines how the
+/// chunk composes with any left context, because replaying the residual
+/// against the survivor stack of the preceding chunks performs exactly
+/// the cancellations the global stack pass would — the residual satisfies
+/// Property 19, so no cancellation internal to it is possible, and the
+/// first stack pop a survivor could cause must be against the preceding
+/// context. This makes chunk summaries a monoid under ReductionMerger
+/// composition, and is what lets a splice recompute one chunk in O(chunk)
+/// and re-merge in O(total residual).
 struct ChunkSummary {
   /// The chunk reduced in isolation (satisfies Property 19).
   ParenSeq residual;
   /// residual_pos[i] = chunk-local index of residual symbol i.
   std::vector<int64_t> residual_pos;
-  /// Zero-cost pairs internal to the chunk, chunk-local indices, in the
-  /// order the stack pass emits them (ascending close).
-  std::vector<std::pair<int64_t, int64_t>> pairs_by_close;
-  /// The same pairs sorted ascending by open index; derived in O(len) at
-  /// summarize time so document-level pair assembly is a pure merge with
-  /// no sorting.
-  std::vector<std::pair<int64_t, int64_t>> pairs_by_open;
   /// Untyped balance profile of the raw chunk (not the residual).
   HeightSummary height;
 };
 
 /// Summarizes one chunk; O(len) time. Members of `*out` are cleared and
 /// refilled, retaining capacity across re-summarizations of the same chunk
-/// slot. `close_of_scratch` is working storage (resized to len) used to
-/// emit pairs_by_open without sorting.
-void SummarizeChunk(ParenSpan chunk, ChunkSummary* out,
-                    std::vector<int32_t>* close_of_scratch);
+/// slot.
+void SummarizeChunk(ParenSpan chunk, ChunkSummary* out);
 
 /// Left fold over chunk summaries reconstructing the whole-document
 /// reduction byte-identically to Reduce() on the concatenated sequence.
 ///
 ///   ReductionMerger m;
-///   m.Reset(&reduced, &junction_pairs);
+///   m.Reset(&reduced);
 ///   for each chunk: m.Append(summary, absolute_offset);
-///   m.Finish();
 ///
-/// After Finish, `reduced.seq` / `reduced.orig_pos` equal Reduce()'s
-/// output on the full document. Zero-cost pairs are split into two
-/// streams: each chunk's intra pairs (already stored in the summary) and
-/// the junction pairs (open in an earlier chunk, close in a later one)
-/// discovered during the replay, absolute indices, ascending by close.
-/// `reduced.matched_pairs` is filled with the interleaved union — the
-/// exact emission order of the eager pass — only when Reset is called
-/// with emit_matched_pairs = true; callers that assemble alignment pairs
-/// themselves (RepairDoc's omitted-pairs mode) skip that O(n) cost.
+/// After the last Append, `reduced.seq` / `reduced.orig_pos` equal
+/// Reduce()'s output on the full document.
 class ReductionMerger {
  public:
-  void Reset(Reduced* out,
-             std::vector<std::pair<int64_t, int64_t>>* junction_pairs,
-             bool emit_matched_pairs);
+  void Reset(Reduced* out);
 
   /// Folds in the next chunk; `offset` is the chunk's absolute start
   /// index in the document. O(residual size) amortized.
   void Append(const ChunkSummary& chunk, int64_t offset);
 
-  /// No-op today (the survivor stacks are maintained in place), kept as
-  /// an explicit end-of-fold marker for future batched materialization.
-  void Finish();
-
  private:
   Reduced* out_ = nullptr;
-  std::vector<std::pair<int64_t, int64_t>>* junctions_ = nullptr;
-  bool emit_matched_pairs_ = false;
 };
 
 }  // namespace dyck

@@ -73,9 +73,8 @@ Pass1Info Pass1Avx2(const Paren* p, size_t n, int32_t* slots) {
 
 int64_t GreedyAdvanceAvx2(const Paren* data, int64_t n, int64_t i,
                           bool reversed_flipped,
-                          std::vector<GreedyEntry>* stack,
-                          std::vector<std::pair<int64_t, int64_t>>* pairs) {
-  return GreedyAdvanceCore(data, n, i, reversed_flipped, *stack, pairs,
+                          std::vector<GreedyEntry>* stack) {
+  return GreedyAdvanceCore(data, n, i, reversed_flipped, *stack,
                            [](const Paren* q) { return DirByte8(q); });
 }
 

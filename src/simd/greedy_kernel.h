@@ -6,7 +6,6 @@
 #define DYCKFIX_SRC_SIMD_GREEDY_KERNEL_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/baseline/greedy.h"
@@ -16,8 +15,7 @@ namespace dyck::simd {
 
 /// Consumes symbols of the view starting at view index `i`, replicating
 /// GreedyScan's fast path exactly: an open pushes {type, pos, -1}; a close
-/// whose type matches the stack top pops it and (when `pairs` is non-null,
-/// i.e. the script policy) appends (top.pos, pos). Stops at the first
+/// whose type matches the stack top pops it. Stops at the first
 /// symbol the fast path cannot consume — a close with an empty stack or a
 /// mismatching top — and returns its view index (n when the whole view was
 /// consumed). The view is data[0..n) directly, or, when `reversed_flipped`
@@ -28,8 +26,7 @@ namespace dyck::simd {
 /// preserved (including op_index of flipped openers), and on return
 /// stack.size() is the new depth.
 int64_t GreedyAdvance(const Paren* data, int64_t n, int64_t i,
-                      bool reversed_flipped, std::vector<GreedyEntry>* stack,
-                      std::vector<std::pair<int64_t, int64_t>>* pairs);
+                      bool reversed_flipped, std::vector<GreedyEntry>* stack);
 
 /// Should a scan over data[0..n) route its fast path through GreedyAdvance?
 /// False for short spans, the scalar backend, and run-heavy inputs (where

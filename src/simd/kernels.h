@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include "src/alphabet/paren.h"
@@ -99,8 +98,7 @@ struct KernelOps {
   // Greedy fast-advance; see greedy_kernel.h for the contract.
   int64_t (*greedy_advance)(const Paren* data, int64_t n, int64_t i,
                             bool reversed_flipped,
-                            std::vector<GreedyEntry>* stack,
-                            std::vector<std::pair<int64_t, int64_t>>* pairs);
+                            std::vector<GreedyEntry>* stack);
   size_t (*find_byte)(const char* s, size_t n, char c);
   size_t (*tokenize)(const char* s, size_t n, const int32_t* char_map,
                      const ByteSet* set, Paren* out);
@@ -142,8 +140,7 @@ Pass1Info Pass1Scalar(const Paren* p, size_t n, int32_t* slots);
 SpanHeight SummarizeScalar(const Paren* p, size_t n);
 int64_t GreedyAdvanceScalar(const Paren* data, int64_t n, int64_t i,
                             bool reversed_flipped,
-                            std::vector<GreedyEntry>* stack,
-                            std::vector<std::pair<int64_t, int64_t>>* pairs);
+                            std::vector<GreedyEntry>* stack);
 size_t FindByteScalar(const char* s, size_t n, char c);
 size_t TokenizeScalar(const char* s, size_t n, const int32_t* char_map,
                       const ByteSet* set, Paren* out);

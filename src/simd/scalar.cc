@@ -87,15 +87,13 @@ Pass1Info Pass1Scalar(const Paren* p, size_t n, int32_t* slots) {
 
 int64_t GreedyAdvanceScalar(const Paren* data, int64_t n, int64_t i,
                             bool reversed_flipped,
-                            std::vector<GreedyEntry>* stack,
-                            std::vector<std::pair<int64_t, int64_t>>* pairs) {
+                            std::vector<GreedyEntry>* stack) {
   while (i < n) {
     Paren p = data[reversed_flipped ? n - 1 - i : i];
     if (reversed_flipped) p.is_open = !p.is_open;
     if (p.is_open) {
       stack->push_back({p.type, i, -1});
     } else if (!stack->empty() && stack->back().type == p.type) {
-      if (pairs != nullptr) pairs->emplace_back(stack->back().pos, i);
       stack->pop_back();
     } else {
       return i;

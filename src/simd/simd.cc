@@ -92,7 +92,6 @@ bool IsBalancedScalar(const Paren* p, size_t n) {
 }
 
 void ReduceScalar(const Paren* p, size_t n, std::vector<int64_t>* kept,
-                  std::vector<std::pair<int64_t, int64_t>>* pairs,
                   SpanHeight* height) {
   int64_t h = 0;
   int64_t mp = 0;
@@ -102,7 +101,6 @@ void ReduceScalar(const Paren* p, size_t n, std::vector<int64_t>* kept,
     mp = h < mp ? h : mp;
     if (!cur.is_open && !kept->empty() &&
         p[static_cast<size_t>(kept->back())].Matches(cur)) {
-      pairs->emplace_back(kept->back(), i);
       kept->pop_back();
     } else {
       kept->push_back(i);
@@ -222,13 +220,12 @@ bool IsBalancedSpan(const Paren* p, size_t n) {
 }
 
 void ReduceSpan(const Paren* p, size_t n, std::vector<int64_t>* kept,
-                std::vector<std::pair<int64_t, int64_t>>* pairs,
                 SpanHeight* height) {
   kept->clear();
   if (!VectorPathForced() &&
       (n < kMinVectorReduce || ActiveBackend() == Backend::kScalar ||
        RunHeavy(p, n))) {
-    ReduceScalar(p, n, kept, pairs, height);
+    ReduceScalar(p, n, kept, height);
     return;
   }
   Scratch& sc = TlsScratch();
@@ -244,13 +241,6 @@ void ReduceSpan(const Paren* p, size_t n, std::vector<int64_t>* kept,
   const size_t entries_size = n + 2 + static_cast<size_t>(-lo);
   if (sc.entries.size() < entries_size) sc.entries.resize(entries_size);
   uint64_t* entry_at = sc.entries.data() - lo;
-
-  // Cancellations are appended through a raw cursor; reserve the worst
-  // case up front and trim after.
-  const size_t pairs0 = pairs->size();
-  pairs->resize(pairs0 + n);
-  std::pair<int64_t, int64_t>* prs = pairs->data() + pairs0;
-  size_t np = 0;
 
   // `base` is the stack floor: slots below it hold dead entries (survivor
   // closes and the opens they buried). A close only cancels when its slot
@@ -269,11 +259,8 @@ void ReduceSpan(const Paren* p, size_t n, std::vector<int64_t>* kept,
       return;
     }
     const uint64_t prev = entry_at[s];
-    if (s >= base && static_cast<int32_t>(static_cast<uint32_t>(prev)) ==
-                         (c | 1)) {
-      prs[np++] = {static_cast<int64_t>(prev >> 32),
-                   static_cast<int64_t>(pos)};
-    } else {
+    if (s < base ||
+        static_cast<int32_t>(static_cast<uint32_t>(prev)) != (c | 1)) {
       // Survivor close: everything live below it survives too (those
       // opens can never cancel against a later close), then the close
       // itself becomes the new floor.
@@ -289,10 +276,9 @@ void ReduceSpan(const Paren* p, size_t n, std::vector<int64_t>* kept,
   size_t i = 0;
   const size_t n8 = n & ~static_cast<size_t>(7);
   while (i < n8) {
-    // Optimistic group of 8: journal the previous entries, write
-    // unconditionally, emit pair candidates through the cursor. If any
-    // close fails to cancel, roll everything back and replay exactly.
-    const size_t np0 = np;
+    // Optimistic group of 8: journal the previous entries and write
+    // unconditionally. If any close fails to cancel, roll everything back
+    // and replay exactly.
     uint64_t journal[8];
     uint32_t bad = 0;
     for (size_t j = 0; j < 8; ++j) {
@@ -304,9 +290,6 @@ void ReduceSpan(const Paren* p, size_t n, std::vector<int64_t>* kept,
       entry_at[s] = static_cast<uint32_t>(c) |
                     (static_cast<uint64_t>(i + j) << 32);
       const uint32_t is_close = ~static_cast<uint32_t>(c) & 1u;
-      prs[np] = {static_cast<int64_t>(prev >> 32),
-                 static_cast<int64_t>(i + j)};
-      np += is_close;
       bad |= is_close &
              (static_cast<uint32_t>(
                   static_cast<int32_t>(static_cast<uint32_t>(prev)) !=
@@ -318,7 +301,6 @@ void ReduceSpan(const Paren* p, size_t n, std::vector<int64_t>* kept,
       continue;
     }
     for (size_t j = 8; j-- > 0;) entry_at[slots[i + j]] = journal[j];
-    np = np0;
     for (size_t j = 0; j < 8; ++j) replay(i + j);
     i += 8;
   }
@@ -328,7 +310,6 @@ void ReduceSpan(const Paren* p, size_t n, std::vector<int64_t>* kept,
   for (int64_t q = base; q < p1.h_end; ++q) {
     kept->push_back(static_cast<int64_t>(entry_at[q] >> 32));
   }
-  pairs->resize(pairs0 + np);
 }
 
 size_t FindByte(const char* s, size_t n, char c) {
@@ -379,14 +360,11 @@ void WaveCombineRow(const int64_t* prev, int64_t span, int64_t a_len,
 }
 
 int64_t GreedyAdvance(const Paren* data, int64_t n, int64_t i,
-                      bool reversed_flipped, std::vector<GreedyEntry>* stack,
-                      std::vector<std::pair<int64_t, int64_t>>* pairs) {
+                      bool reversed_flipped, std::vector<GreedyEntry>* stack) {
   if (!VectorPathForced() && ActiveBackend() == Backend::kScalar) {
-    return internal::GreedyAdvanceScalar(data, n, i, reversed_flipped, stack,
-                                         pairs);
+    return internal::GreedyAdvanceScalar(data, n, i, reversed_flipped, stack);
   }
-  return ActiveOps().greedy_advance(data, n, i, reversed_flipped, stack,
-                                    pairs);
+  return ActiveOps().greedy_advance(data, n, i, reversed_flipped, stack);
 }
 
 bool GreedyKernelProfitable(const Paren* data, int64_t n) {

@@ -39,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/alphabet/paren.h"
@@ -109,11 +108,9 @@ SpanHeight Summarize(const Paren* p, size_t n);
 bool IsBalancedSpan(const Paren* p, size_t n);
 
 /// Exactly the Reduce/SummarizeChunk stack pass: `kept` (cleared first)
-/// receives the surviving positions in ascending order; `pairs` (appended
-/// to, close-ascending) receives every (open_pos, close_pos) cancellation;
-/// `height` (optional) receives the span's height summary.
+/// receives the surviving positions in ascending order; `height`
+/// (optional) receives the span's height summary.
 void ReduceSpan(const Paren* p, size_t n, std::vector<int64_t>* kept,
-                std::vector<std::pair<int64_t, int64_t>>* pairs,
                 SpanHeight* height);
 
 /// Index of the first `c` in s[0..n), or n. (The scalar backend defers to

@@ -7,7 +7,6 @@
 #define DYCKFIX_SRC_SIMD_SPAN_CORE_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/simd/kernels.h"
@@ -92,7 +91,6 @@ Pass1Info Pass1Core(const Paren* p, size_t n, int32_t* slots,
 template <class DirByteFn>
 int64_t GreedyAdvanceCore(const Paren* data, int64_t n, int64_t i0, bool rev,
                           std::vector<GreedyEntry>& stack,
-                          std::vector<std::pair<int64_t, int64_t>>* pairs,
                           DirByteFn dirbyte8) {
   const Tables& tb = GetTables();
   int64_t i = i0;
@@ -112,7 +110,6 @@ int64_t GreedyAdvanceCore(const Paren* data, int64_t n, int64_t i0, bool rev,
       if (p.is_open) {
         stack.push_back({p.type, i, -1});
       } else if (!stack.empty() && stack.back().type == p.type) {
-        if (pairs != nullptr) pairs->emplace_back(stack.back().pos, i);
         stack.pop_back();
       } else {
         d = static_cast<int64_t>(stack.size());
@@ -140,51 +137,26 @@ int64_t GreedyAdvanceCore(const Paren* data, int64_t n, int64_t i0, bool rev,
       stack.resize(static_cast<size_t>(d + 8));
     }
     GreedyEntry* st = stack.data();
-    size_t np0 = 0;
-    std::pair<int64_t, int64_t>* pp = nullptr;
-    if (pairs != nullptr) {
-      np0 = pairs->size();
-      pairs->resize(np0 + 8);
-      pp = pairs->data() + np0;
-    }
     GreedyEntry journal[8];
     uint32_t bad = 0;
-    size_t np = 0;
-    if (pp != nullptr) {
-      for (int j = 0; j < 8; ++j) {
-        const int64_t pos = i + j;
-        const Paren p = view(pos);
-        const int64_t s = d + tb.slot_off[b][j];
-        const GreedyEntry prev = st[s];
-        journal[j] = prev;
-        st[s] = {p.type, pos, -1};
-        const uint32_t is_close = p.is_open ? 0u : 1u;
-        pp[np] = {prev.pos, pos};
-        np += is_close;
-        bad |= is_close & static_cast<uint32_t>(prev.type != p.type);
-      }
-    } else {
-      for (int j = 0; j < 8; ++j) {
-        const int64_t pos = i + j;
-        const Paren p = view(pos);
-        const int64_t s = d + tb.slot_off[b][j];
-        const GreedyEntry prev = st[s];
-        journal[j] = prev;
-        st[s] = {p.type, pos, -1};
-        const uint32_t is_close = p.is_open ? 0u : 1u;
-        bad |= is_close & static_cast<uint32_t>(prev.type != p.type);
-      }
+    for (int j = 0; j < 8; ++j) {
+      const int64_t pos = i + j;
+      const Paren p = view(pos);
+      const int64_t s = d + tb.slot_off[b][j];
+      const GreedyEntry prev = st[s];
+      journal[j] = prev;
+      st[s] = {p.type, pos, -1};
+      const uint32_t is_close = p.is_open ? 0u : 1u;
+      bad |= is_close & static_cast<uint32_t>(prev.type != p.type);
     }
     if (bad == 0) {
       d += tb.net[b];
-      if (pairs != nullptr) pairs->resize(np0 + np);
       i += 8;
       continue;
     }
     for (int j = 7; j >= 0; --j) {
       st[d + tb.slot_off[b][j]] = journal[j];
     }
-    if (pairs != nullptr) pairs->resize(np0);
     if (!scalar_run(8)) return i;
   }
   if (!scalar_run(n - i)) return i;

@@ -245,7 +245,6 @@ void ExpectSameResult(const StatusOr<RepairResult>& fresh,
   EXPECT_EQ(fresh->distance, reused->distance);
   EXPECT_EQ(fresh->degraded, reused->degraded);
   EXPECT_TRUE(fresh->script.ops == reused->script.ops);
-  EXPECT_TRUE(fresh->script.aligned_pairs == reused->script.aligned_pairs);
   EXPECT_TRUE(fresh->repaired == reused->repaired);
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 #include <string>
 
 #include "src/core/dyck.h"
@@ -38,6 +39,15 @@ struct CheckpointCase {
   Metric metric;
   const char* solver;
 };
+
+// Without a printer gtest dumps CheckpointCase as raw bytes, and the
+// pointers in that dump made the discovered ctest names change on every
+// build.
+void PrintTo(const CheckpointCase& c, std::ostream* os) {
+  *os << "checkpoint=" << c.checkpoint << " metric="
+      << (c.metric == Metric::kDeletionsOnly ? "deletions" : "substitutions")
+      << " solver=" << c.solver;
+}
 
 class BudgetCheckpointTest
     : public ::testing::TestWithParam<CheckpointCase> {};

@@ -138,7 +138,6 @@ TEST(CacheStressTest, InternerConcurrentInsertConvergesToOneSummary) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
-      std::vector<int32_t> scratch;
       for (int iter = 0; iter < 400; ++iter) {
         const size_t i =
             (static_cast<size_t>(t) + static_cast<size_t>(iter)) %
@@ -148,13 +147,13 @@ TEST(CacheStressTest, InternerConcurrentInsertConvergesToOneSummary) {
             interner.Find(hash, chunks[i]);
         if (summary == nullptr) {
           ChunkSummary fresh;
-          SummarizeChunk(chunks[i], &fresh, &scratch);
+          SummarizeChunk(chunks[i], &fresh);
           summary = interner.Insert(hash, chunks[i], std::move(fresh));
         }
         // The shared summary must describe this chunk regardless of which
         // thread created it or whether it was since evicted.
         ChunkSummary check;
-        SummarizeChunk(chunks[i], &check, &scratch);
+        SummarizeChunk(chunks[i], &check);
         if (summary == nullptr ||
             !(ParenSpan(summary->residual) == ParenSpan(check.residual))) {
           failed.store(true, std::memory_order_relaxed);

@@ -222,8 +222,7 @@ TEST(InternerTest, InsertThenFindSharesOneSummary) {
 
   EXPECT_EQ(interner.Find(hash, chunk), nullptr);
   ChunkSummary summary;
-  std::vector<int32_t> scratch;
-  SummarizeChunk(chunk, &summary, &scratch);
+  SummarizeChunk(chunk, &summary);
   const ParenSeq residual = summary.residual;
 
   const auto canonical = interner.Insert(hash, chunk, std::move(summary));
@@ -239,14 +238,13 @@ TEST(InternerTest, RacedInsertReturnsTheExistingEntry) {
   cache::SequenceInterner interner(1 << 20);
   const ParenSeq chunk = Tokens("([])");
   const uint64_t hash = cache::HashContent(chunk);
-  std::vector<int32_t> scratch;
 
   ChunkSummary first;
-  SummarizeChunk(chunk, &first, &scratch);
+  SummarizeChunk(chunk, &first);
   const auto a = interner.Insert(hash, chunk, std::move(first));
 
   ChunkSummary second;
-  SummarizeChunk(chunk, &second, &scratch);
+  SummarizeChunk(chunk, &second);
   const auto b = interner.Insert(hash, chunk, std::move(second));
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(interner.Stats().entries, 1);
@@ -261,18 +259,17 @@ TEST(InternerTest, EvictionDropsOnlyTheInternersReference) {
   config.byte_budget = 64 << 10;
   config.hash_mask = 0;
   cache::SequenceInterner interner(config);
-  std::vector<int32_t> scratch;
 
   const ParenSeq kept_chunk = Tokens("((((((((");
   ChunkSummary kept_summary;
-  SummarizeChunk(kept_chunk, &kept_summary, &scratch);
+  SummarizeChunk(kept_chunk, &kept_summary);
   const auto kept = interner.Insert(cache::HashContent(kept_chunk),
                                     kept_chunk, std::move(kept_summary));
 
   for (int i = 1; i <= 64; ++i) {
     ParenSeq chunk = Tokens(std::string(static_cast<size_t>(i), ')'));
     ChunkSummary summary;
-    SummarizeChunk(chunk, &summary, &scratch);
+    SummarizeChunk(chunk, &summary);
     interner.Insert(cache::HashContent(chunk), chunk, std::move(summary));
   }
   EXPECT_GT(interner.Stats().evictions, 0);
@@ -284,8 +281,7 @@ TEST(InternerTest, ZeroBudgetStillReturnsAWrappedSummary) {
   cache::SequenceInterner interner(0);
   const ParenSeq chunk = Tokens("()");
   ChunkSummary summary;
-  std::vector<int32_t> scratch;
-  SummarizeChunk(chunk, &summary, &scratch);
+  SummarizeChunk(chunk, &summary);
   const auto wrapped =
       interner.Insert(cache::HashContent(chunk), chunk, std::move(summary));
   ASSERT_NE(wrapped, nullptr);

@@ -141,7 +141,7 @@ TEST(RepairApiTest, BalancedInputKeepsEverySymbol) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->distance, 0);
   EXPECT_EQ(result->repaired, seq);
-  EXPECT_EQ(result->script.aligned_pairs.size(), seq.size() / 2);
+  EXPECT_EQ(AlignedPairs(seq, result->script).size(), seq.size() / 2);
 }
 
 TEST(RepairApiTest, RepairAgreesAcrossAlgorithms) {

@@ -155,7 +155,7 @@ TEST(FptDeletionTest, AlignedPairsDoNotCross) {
         gen::Corrupt(base, {.num_edits = 2, .num_types = 2}, seed + 5);
     const FptResult result = FptDeletionRepair(corrupted.seq);
     // Alignment arcs must be properly nested (no crossings) and typed.
-    auto pairs = result.script.aligned_pairs;
+    const auto pairs = AlignedPairs(corrupted.seq, result.script);
     for (const auto& [a, b] : pairs) {
       ASSERT_LT(a, b);
       EXPECT_TRUE(corrupted.seq[a].Matches(corrupted.seq[b]));

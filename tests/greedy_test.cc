@@ -15,9 +15,10 @@ ParenSeq Parse(const std::string& text) {
 }
 
 TEST(GreedyTest, ExactOnBalancedInput) {
-  const GreedyResult result = GreedyRepair(Parse("([]{})"), false);
+  const ParenSeq seq = Parse("([]{})");
+  const GreedyResult result = GreedyRepair(seq, false);
   EXPECT_EQ(result.cost, 0);
-  EXPECT_EQ(result.script.aligned_pairs.size(), 3u);
+  EXPECT_EQ(AlignedPairs(seq, result.script).size(), 3u);
 }
 
 TEST(GreedyTest, SimpleConflicts) {

@@ -1,7 +1,7 @@
 // Differential suite for the incremental pipeline: after every edit of a
 // random trace, RepairDoc::RepairInto must be byte-identical to the eager
 // Repair() on the same token buffer — same distance, same edit ops, same
-// aligned pairs, same repaired sequence — across solver configurations,
+// repaired sequence — across solver configurations,
 // metrics, and styles. This is the contract that lets every other test in
 // the repo stand in for the incremental path.
 
@@ -58,8 +58,6 @@ void ExpectIdentical(const RepairResult& incremental,
                      const RepairResult& eager, const std::string& what) {
   EXPECT_EQ(incremental.distance, eager.distance) << what;
   EXPECT_EQ(incremental.script.ops, eager.script.ops) << what;
-  EXPECT_EQ(incremental.script.aligned_pairs, eager.script.aligned_pairs)
-      << what;
   EXPECT_TRUE(incremental.repaired == eager.repaired) << what;
 }
 
@@ -124,8 +122,7 @@ TEST(IncrementalTest, ForcedFpt) {
 
 TEST(IncrementalTest, ForcedCubic) {
   // Cubic is a raw-input solver (needs_reduced = false): it runs even on
-  // balanced buffers and emits its own complete pair alignment — the path
-  // where the doc must NOT add its chunk pairs on top.
+  // balanced buffers and ignores the doc's merged reduction.
   for (const Metric metric :
        {Metric::kDeletionsOnly, Metric::kDeletionsAndSubstitutions}) {
     Options options;
@@ -137,8 +134,7 @@ TEST(IncrementalTest, ForcedCubic) {
 
 TEST(IncrementalTest, ForcedApprox) {
   // The approx refinement solver may serve either a greedy full-sequence
-  // script or an exact reduced-based one; the doc must take the fully
-  // materialized pipeline path for it.
+  // script or an exact reduced-based one.
   Options options;
   options.metric = Metric::kDeletionsOnly;
   options.solver = "approx";
@@ -158,8 +154,7 @@ TEST(IncrementalTest, AutoWithApproximationBudget) {
 }
 
 TEST(IncrementalTest, PreserveContentStyle) {
-  // kPreserveContent consumes the pair alignment inside stage 5; the doc
-  // must hand the pipeline complete artifacts (no omitted-pairs mode).
+  // kPreserveContent rewrites the script inside stage 5.
   Options options;
   options.metric = Metric::kDeletionsAndSubstitutions;
   options.style = RepairStyle::kPreserveContent;

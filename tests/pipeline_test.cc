@@ -24,7 +24,8 @@ ParenSeq Parse(const std::string& text) {
 const char* kEightOpens = "((((((((";
 
 TEST(PipelineTelemetryTest, BalancedFastPathUnderAuto) {
-  const auto result = Repair(Parse("([]{})"), {});
+  const ParenSeq seq = Parse("([]{})");
+  const auto result = Repair(seq, {});
   ASSERT_TRUE(result.ok());
   const RepairTelemetry& t = result->telemetry;
   EXPECT_TRUE(t.balanced_fast_path);
@@ -35,8 +36,9 @@ TEST(PipelineTelemetryTest, BalancedFastPathUnderAuto) {
   EXPECT_EQ(t.reduced_length, 0);  // balanced input reduces to empty
   EXPECT_EQ(t.subproblems, 0);
   EXPECT_EQ(t.seq_copies, 0);
-  // The fast path still aligns every pair for downstream consumers.
-  EXPECT_EQ(result->script.aligned_pairs.size(), 3u);
+  // The fast path's empty script still aligns every pair on request.
+  EXPECT_TRUE(result->script.ops.empty());
+  EXPECT_EQ(AlignedPairs(seq, result->script).size(), 3u);
 }
 
 TEST(PipelineTelemetryTest, AutoResolvesToFptOnUnbalancedInput) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "src/alphabet/parse.h"
+#include "src/core/edit_script.h"
 #include "src/gen/workload.h"
 #include "src/profile/height.h"
 #include "src/profile/reduce.h"
@@ -53,14 +55,14 @@ TEST(HeightTest, RenderProfileContainsEveryColumn) {
 TEST(ReduceTest, BalancedReducesToEmpty) {
   const Reduced r = Reduce(Parse("([]{})"));
   EXPECT_TRUE(r.seq.empty());
-  EXPECT_EQ(r.matched_pairs.size(), 3u);
+  EXPECT_TRUE(r.orig_pos.empty());
 }
 
 TEST(ReduceTest, CanonicalUnbalancedShape) {
   // ")(" cannot reduce.
   const Reduced r = Reduce(Parse(")("));
   EXPECT_EQ(ToString(r.seq), ")(");
-  EXPECT_TRUE(r.matched_pairs.empty());
+  EXPECT_EQ(r.orig_pos, (std::vector<int64_t>{0, 1}));
 }
 
 TEST(ReduceTest, CascadingRemovals) {
@@ -83,8 +85,8 @@ TEST(ReduceTest, OrigPosStrictlyIncreasingAndConsistent) {
     }
     EXPECT_EQ(seq[r.orig_pos[i]], r.seq[i]);
   }
-  // Removed symbols + kept symbols account for the whole input.
-  EXPECT_EQ(r.orig_pos.size() + 2 * r.matched_pairs.size(), seq.size());
+  // Only "{}" cancels; every other symbol survives.
+  EXPECT_EQ(r.orig_pos, (std::vector<int64_t>{0, 1, 2, 5, 6, 7}));
 }
 
 TEST(ReduceTest, ResultSatisfiesProperty19) {
@@ -100,13 +102,21 @@ TEST(ReduceTest, ResultSatisfiesProperty19) {
 }
 
 TEST(ReduceTest, MatchedPairsAreRealMatches) {
+  // The symbols the reduction drops are matched at zero cost: deleting the
+  // survivors leaves a balanced sequence, every pair of whose alignment is
+  // an exact match.
   std::mt19937_64 rng(11);
   for (int trial = 0; trial < 50; ++trial) {
     ParenSeq seq;
     for (int i = 0; i < 30; ++i) {
       seq.push_back(Paren{static_cast<ParenType>(rng() % 2), rng() % 2 == 0});
     }
-    for (const auto& [a, b] : Reduce(seq).matched_pairs) {
+    EditScript delete_survivors;
+    for (const int64_t pos : Reduce(seq).orig_pos) {
+      delete_survivors.ops.push_back({EditOpKind::kDelete, pos, Paren{}});
+    }
+    ASSERT_TRUE(IsBalanced(ApplyScript(seq, delete_survivors)));
+    for (const auto& [a, b] : AlignedPairs(seq, delete_survivors)) {
       EXPECT_LT(a, b);
       EXPECT_TRUE(seq[a].Matches(seq[b]));
     }

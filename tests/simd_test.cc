@@ -50,13 +50,11 @@ bool RefBalanced(const ParenSeq& s) {
   return stack.empty();
 }
 
-void RefReduce(const ParenSeq& s, std::vector<int64_t>* kept,
-               std::vector<std::pair<int64_t, int64_t>>* pairs) {
+void RefReduce(const ParenSeq& s, std::vector<int64_t>* kept) {
   kept->clear();
   for (int64_t i = 0; i < static_cast<int64_t>(s.size()); ++i) {
     const Paren& p = s[i];
     if (!p.is_open && !kept->empty() && s[kept->back()].Matches(p)) {
-      pairs->emplace_back(kept->back(), i);
       kept->pop_back();
     } else {
       kept->push_back(i);
@@ -66,15 +64,13 @@ void RefReduce(const ParenSeq& s, std::vector<int64_t>* kept,
 
 int64_t RefGreedyAdvance(const Paren* data, int64_t n, int64_t i,
                          bool reversed_flipped,
-                         std::vector<GreedyEntry>* stack,
-                         std::vector<std::pair<int64_t, int64_t>>* pairs) {
+                         std::vector<GreedyEntry>* stack) {
   while (i < n) {
     Paren p = data[reversed_flipped ? n - 1 - i : i];
     if (reversed_flipped) p.is_open = !p.is_open;
     if (p.is_open) {
       stack->push_back({p.type, i, -1});
     } else if (!stack->empty() && stack->back().type == p.type) {
-      if (pairs != nullptr) pairs->emplace_back(stack->back().pos, i);
       stack->pop_back();
     } else {
       return i;
@@ -221,18 +217,13 @@ TEST_F(SimdBackendTest, ReduceSpanMatchesReference) {
   ForEachBackend([&] {
     for (const ParenSeq& s : corpus) {
       std::vector<int64_t> want_kept;
-      std::vector<std::pair<int64_t, int64_t>> want_pairs;
-      want_pairs.emplace_back(-11, -22);  // sentinel: appended to, not cleared
-      RefReduce(s, &want_kept, &want_pairs);
+      RefReduce(s, &want_kept);
 
-      std::vector<int64_t> kept;
-      std::vector<std::pair<int64_t, int64_t>> pairs;
-      pairs.emplace_back(-11, -22);
+      std::vector<int64_t> kept{-11};  // sentinel: cleared, not appended to
       simd::SpanHeight height;
-      simd::ReduceSpan(s.data(), s.size(), &kept, &pairs, &height);
+      simd::ReduceSpan(s.data(), s.size(), &kept, &height);
 
       ASSERT_EQ(want_kept, kept) << "n=" << s.size();
-      ASSERT_EQ(want_pairs, pairs) << "n=" << s.size();
       const simd::SpanHeight want_h = RefSummarize(s);
       ASSERT_EQ(want_h.net, height.net);
       ASSERT_EQ(want_h.min_prefix, height.min_prefix);
@@ -251,11 +242,9 @@ TEST_F(SimdBackendTest, UnalignedSpansMatchReference) {
       ASSERT_EQ(want.net, got.net) << "shift=" << shift;
       ASSERT_EQ(want.min_prefix, got.min_prefix);
       std::vector<int64_t> want_kept, kept;
-      std::vector<std::pair<int64_t, int64_t>> want_pairs, pairs;
-      RefReduce(base, &want_kept, &want_pairs);
-      simd::ReduceSpan(view.data(), view.size(), &kept, &pairs, nullptr);
+      RefReduce(base, &want_kept);
+      simd::ReduceSpan(view.data(), view.size(), &kept, nullptr);
       ASSERT_EQ(want_kept, kept) << "shift=" << shift;
-      ASSERT_EQ(want_pairs, pairs);
     }
   });
 }
@@ -268,33 +257,26 @@ TEST_F(SimdBackendTest, GreedyAdvanceMatchesReference) {
   ForEachBackend([&] {
     for (const ParenSeq& s : corpus) {
       for (const bool rev : {false, true}) {
-        for (const bool with_pairs : {false, true}) {
-          const auto n = static_cast<int64_t>(s.size());
-          std::vector<GreedyEntry> want_stack{{1000, -5, 42}};
-          std::vector<GreedyEntry> stack{{1000, -5, 42}};
-          std::vector<std::pair<int64_t, int64_t>> want_pairs, pairs;
-          std::vector<int64_t> want_stops, stops;
-          for (int64_t i = 0; i < n;) {
-            i = RefGreedyAdvance(s.data(), n, i, rev, &want_stack,
-                                 with_pairs ? &want_pairs : nullptr);
-            if (i < n) want_stops.push_back(i);
-            ++i;
-          }
-          for (int64_t i = 0; i < n;) {
-            i = simd::GreedyAdvance(s.data(), n, i, rev, &stack,
-                                    with_pairs ? &pairs : nullptr);
-            if (i < n) stops.push_back(i);
-            ++i;
-          }
-          ASSERT_EQ(want_stops, stops)
-              << "n=" << n << " rev=" << rev << " pairs=" << with_pairs;
-          ASSERT_EQ(want_pairs, pairs) << "n=" << n << " rev=" << rev;
-          ASSERT_EQ(want_stack.size(), stack.size()) << "n=" << n;
-          for (size_t k = 0; k < stack.size(); ++k) {
-            ASSERT_EQ(want_stack[k].type, stack[k].type);
-            ASSERT_EQ(want_stack[k].pos, stack[k].pos);
-            ASSERT_EQ(want_stack[k].op_index, stack[k].op_index);
-          }
+        const auto n = static_cast<int64_t>(s.size());
+        std::vector<GreedyEntry> want_stack{{1000, -5, 42}};
+        std::vector<GreedyEntry> stack{{1000, -5, 42}};
+        std::vector<int64_t> want_stops, stops;
+        for (int64_t i = 0; i < n;) {
+          i = RefGreedyAdvance(s.data(), n, i, rev, &want_stack);
+          if (i < n) want_stops.push_back(i);
+          ++i;
+        }
+        for (int64_t i = 0; i < n;) {
+          i = simd::GreedyAdvance(s.data(), n, i, rev, &stack);
+          if (i < n) stops.push_back(i);
+          ++i;
+        }
+        ASSERT_EQ(want_stops, stops) << "n=" << n << " rev=" << rev;
+        ASSERT_EQ(want_stack.size(), stack.size()) << "n=" << n;
+        for (size_t k = 0; k < stack.size(); ++k) {
+          ASSERT_EQ(want_stack[k].type, stack[k].type);
+          ASSERT_EQ(want_stack[k].pos, stack[k].pos);
+          ASSERT_EQ(want_stack[k].op_index, stack[k].op_index);
         }
       }
     }
@@ -474,11 +456,9 @@ TEST(SimdAdaptiveTest, DefaultDispatchMatchesReferenceOnLargeSpans) {
     EXPECT_EQ(want.net, got.net);
     EXPECT_EQ(want.min_prefix, got.min_prefix);
     std::vector<int64_t> want_kept, kept;
-    std::vector<std::pair<int64_t, int64_t>> want_pairs, pairs;
-    RefReduce(s, &want_kept, &want_pairs);
-    simd::ReduceSpan(s.data(), s.size(), &kept, &pairs, nullptr);
+    RefReduce(s, &want_kept);
+    simd::ReduceSpan(s.data(), s.size(), &kept, nullptr);
     EXPECT_EQ(want_kept, kept);
-    EXPECT_EQ(want_pairs, pairs);
   }
 }
 
